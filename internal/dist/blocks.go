@@ -29,9 +29,10 @@ func fnv64a(p []byte) uint64 {
 
 // GlobalSampler accumulates the file-system-wide distribution of k-cell
 // block checksums, plus a content-hash census so identical blocks can
-// be excluded — the "Globally Congruent" and "Exclude Identical"
-// machinery of Tables 4–6.  Samplers are single-goroutine shards; merge
-// them with Merge after a parallel pass.
+// be excluded (cmd/checkdist's "identical blocks" line).  The tables
+// need only the histogram and collect it without the census.
+// Samplers are single-goroutine shards; merge them with Merge after a
+// parallel pass.
 type GlobalSampler struct {
 	K      int
 	hist   *Histogram

@@ -52,36 +52,6 @@ func FromHistogram(h *Histogram) PMF {
 	return p
 }
 
-// Convolve returns the distribution of X+Y mod M for independent X∼p,
-// Y∼q — one step of the §4.4 prediction equation
-//
-//	P_k(c) = Σ_x P_{k-1}(c−x)·P_1(x)
-//
-// The inner loop skips q's zero-mass values, so sparse distributions
-// convolve quickly.
-func (p PMF) Convolve(q PMF) PMF {
-	if p.M != q.M {
-		panic("dist: Convolve modulus mismatch")
-	}
-	m := p.M
-	out := NewPMF(m)
-	for x, qx := range q.P {
-		if qx == 0 {
-			continue
-		}
-		// out[(v+x) mod m] += p[v]·qx, split to avoid the inner mod.
-		o := out.P[x:]
-		for v := 0; v < m-x; v++ {
-			o[v] += p.P[v] * qx
-		}
-		o = out.P[:x]
-		for v := m - x; v < m; v++ {
-			o[v-(m-x)] += p.P[v] * qx
-		}
-	}
-	return out
-}
-
 // ConvolvePow returns the distribution of the sum of k independent
 // draws from p (k ≥ 1), via binary powering.
 func (p PMF) ConvolvePow(k int) PMF {

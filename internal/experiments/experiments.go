@@ -242,15 +242,15 @@ type Table4Row struct {
 // Table4 computes the match probabilities for k = 1..5.
 func Table4(cfg Config) []Table4Row {
 	fs := cfg.build(corpus.StanfordU1())
-	single, err := sim.CollectGlobal(cfg.ctx(), fs, 1, cfg.collectOptions())
+	single, err := sim.CollectBlockHistogram(cfg.ctx(), fs, 1, cfg.collectOptions())
 	if err != nil {
 		panic(err)
 	}
-	p1 := dist.FromHistogram(single.Histogram())
+	p1 := dist.FromHistogram(single)
 	var rows []Table4Row
 	pk := p1
 	for k := 1; k <= 5; k++ {
-		g, err := sim.CollectGlobal(cfg.ctx(), fs, k, cfg.collectOptions())
+		h, err := sim.CollectBlockHistogram(cfg.ctx(), fs, k, cfg.collectOptions())
 		if err != nil {
 			panic(err)
 		}
@@ -258,7 +258,7 @@ func Table4(cfg Config) []Table4Row {
 			K:         k,
 			Uniform:   1.0 / 65535,
 			Predicted: pk.SelfMatch(),
-			Measured:  g.CongruentProbability(),
+			Measured:  h.CollisionProbability(),
 		})
 		if k < 5 {
 			pk = pk.Convolve(p1)
@@ -300,7 +300,7 @@ func Table5(cfg Config) []Table5Row {
 	fs := cfg.build(corpus.StanfordU1())
 	var rows []Table5Row
 	for k := 1; k <= 4; k++ {
-		g, err := sim.CollectGlobal(cfg.ctx(), fs, k, cfg.collectOptions())
+		h, err := sim.CollectBlockHistogram(cfg.ctx(), fs, k, cfg.collectOptions())
 		if err != nil {
 			panic(err)
 		}
@@ -314,7 +314,7 @@ func Table5(cfg Config) []Table5Row {
 		}
 		rows = append(rows, Table5Row{
 			K:                  k,
-			Global:             g.CongruentProbability(),
+			Global:             h.CollisionProbability(),
 			Local:              loc.CongruentP(),
 			ExcludingIdentical: loc.ExcludeIdenticalP(),
 			NonContiguous:      nc.CongruentP(),

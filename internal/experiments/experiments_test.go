@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -181,6 +182,22 @@ func TestDistributionReportsDeterministicAcrossWorkers(t *testing.T) {
 					p.name, w, base, w, got)
 			}
 		}
+	}
+}
+
+// TestDistributionReportsGolden pins the rendered Figure 2, Table 4
+// and Table 6 text at scale 0.02 to output captured from the dense
+// convolution loop, so the transform path and the histogram-only block
+// collection cannot drift at printed precision.
+func TestDistributionReportsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/dist_reports_scale0.02.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Scale: 0.02}
+	got := Figure2Report(Figure2(cfg)) + Table4Report(Table4(cfg)) + Table6Report(Table6(cfg))
+	if got != string(want) {
+		t.Errorf("distribution reports drifted from the golden:\n--- got\n%s\n--- want\n%s", got, want)
 	}
 }
 

@@ -46,11 +46,11 @@ func Table6(cfg Config) []Table6System {
 	for _, p := range table6Systems() {
 		fs := cfg.build(p)
 
-		single, err := sim.CollectGlobal(cfg.ctx(), fs, 1, cfg.collectOptions())
+		single, err := sim.CollectBlockHistogram(cfg.ctx(), fs, 1, cfg.collectOptions())
 		if err != nil {
 			panic(err)
 		}
-		p1 := dist.FromHistogram(single.Histogram())
+		p1 := dist.FromHistogram(single)
 		pk := p1
 
 		res, err := sim.Run(cfg.ctx(), cfg.build(p), p.Name, cfg.simOptions(sim.Options{}))
@@ -61,7 +61,7 @@ func Table6(cfg Config) []Table6System {
 		sys := Table6System{System: p.Name}
 		const n = 7 // cells per 256-byte packet
 		for k := 1; k <= 4; k++ {
-			g, err := sim.CollectGlobal(cfg.ctx(), fs, k, cfg.collectOptions())
+			h, err := sim.CollectBlockHistogram(cfg.ctx(), fs, k, cfg.collectOptions())
 			if err != nil {
 				panic(err)
 			}
@@ -77,7 +77,7 @@ func Table6(cfg Config) []Table6System {
 			}
 			sys.K = append(sys.K, k)
 			sys.PredictedGlobal = append(sys.PredictedGlobal, pk.SelfMatch())
-			sys.MeasuredGlobal = append(sys.MeasuredGlobal, g.CongruentProbability())
+			sys.MeasuredGlobal = append(sys.MeasuredGlobal, h.CollisionProbability())
 			sys.LocalCongruent = append(sys.LocalCongruent, loc.CongruentP())
 			sys.ExcludeIdentical = append(sys.ExcludeIdentical, excl)
 			sys.Corrected = append(sys.Corrected, excl*factor)

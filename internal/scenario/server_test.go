@@ -144,6 +144,11 @@ func TestGracefulShutdownKeepsCompletedTally(t *testing.T) {
 	if bs[0].State() != StateDone {
 		t.Fatal("bounded stream never completed")
 	}
+	// On more than one core the bounded stream can finish before the
+	// unbounded one has fed its first file; cancel only once it has.
+	for us[0].Files() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 	select {
 	case err := <-runDone:

@@ -8,6 +8,7 @@ import (
 	"realsum/internal/algo"
 	"realsum/internal/corpus"
 	"realsum/internal/dist"
+	"realsum/internal/inet"
 )
 
 // Progress carries lightweight throughput counters a long pass updates
@@ -119,18 +120,26 @@ func CollectCellHistogram(ctx context.Context, w corpus.Walker, a algo.Algorithm
 }
 
 // CollectBlockHistogram histograms the TCP checksum of aligned k-cell
-// blocks — the k=2,4,… series of Figure 2.
+// blocks — the k=1,2,4 series of Figure 2 and, through
+// Histogram.CollisionProbability, the global congruence column of
+// Tables 4–6.  It keeps no per-block content census; CollectGlobal
+// does, for the identical-block estimate.
 func CollectBlockHistogram(ctx context.Context, w corpus.Walker, k int, opt CollectOptions) (*dist.Histogram, error) {
-	g, err := CollectGlobal(ctx, w, k, opt)
-	if err != nil {
-		return nil, err
-	}
-	return g.Histogram(), nil
+	size := k * dist.CellSize
+	return Collect(ctx, w, opt,
+		dist.NewHistogram,
+		func(h *dist.Histogram, _ int, data []byte) {
+			for off := 0; off+size <= len(data); off += size {
+				h.Add(inet.Sum(data[off : off+size]))
+			}
+		},
+		func(dst, src *dist.Histogram) { dst.Merge(src) },
+	)
 }
 
-// CollectGlobal runs the global k-cell block sampler over a corpus
-// (Table 4 "Measured", Table 5 "Globally Congruent", and the
-// exclude-identical subtraction).
+// CollectGlobal runs the global k-cell block sampler over a corpus: the
+// block histogram plus the content census behind
+// GlobalSampler.IdenticalProbability (cmd/checkdist).
 func CollectGlobal(ctx context.Context, w corpus.Walker, k int, opt CollectOptions) (*dist.GlobalSampler, error) {
 	return Collect(ctx, w, opt,
 		func() *dist.GlobalSampler { return dist.NewGlobalSampler(k) },

@@ -208,6 +208,38 @@ func TestCollectGlobalAndLocal(t *testing.T) {
 	}
 }
 
+// TestCollectBlockHistogramMatchesGlobal pins the histogram-only pass
+// to the sampler it replaced for Figure 2 and Tables 4–6: summing each
+// aligned block directly must fill the same buckets as the sampler's
+// rolling k-cell windows, at every k the tables use and any worker
+// count.  The corpus has odd-sized files and zero-filled blocks, where
+// 0x0000 and 0xFFFF must share a bucket.
+func TestCollectBlockHistogramMatchesGlobal(t *testing.T) {
+	fs := corpus.StanfordU1().Scale(0.02).Build()
+	for k := 1; k <= 5; k++ {
+		for _, workers := range []int{1, 2} {
+			opt := CollectOptions{Workers: workers}
+			h, err := CollectBlockHistogram(ctx(), fs, k, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := CollectGlobal(ctx(), fs, k, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := g.Histogram()
+			if h.Total() != want.Total() || h.Total() == 0 {
+				t.Fatalf("k=%d workers=%d: total %d, sampler %d", k, workers, h.Total(), want.Total())
+			}
+			for v := 0; v < 65536; v++ {
+				if got, w := h.Count(uint16(v)), want.Count(uint16(v)); got != w {
+					t.Fatalf("k=%d workers=%d: bucket %#04x = %d, sampler %d", k, workers, v, got, w)
+				}
+			}
+		}
+	}
+}
+
 func TestStructuredDataMissesMoreThanUniform(t *testing.T) {
 	// The paper's central claim at the system level.
 	uni := tiny(8, corpus.UniformRandom, 8, 8192)

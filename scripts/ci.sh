@@ -28,11 +28,18 @@ echo "== CRC kernel differential smoke (-race) =="
 # the race detector — tables are shared across netsim workers.
 go test -race -count=1 -run 'Sparse|Kernel|SumZeroAlloc|SumHelper' ./internal/crc/ ./internal/algo/
 
+# -cpu 1,2 runs every test at GOMAXPROCS 1 and 2, so no test can lean
+# on single-core scheduling.
 echo "== go test -race (sim, splice, netsim) =="
-go test -race ./internal/sim/... ./internal/splice/... ./internal/netsim/...
+go test -race -cpu 1,2 ./internal/sim/... ./internal/splice/... ./internal/netsim/...
+
+echo "== go test -race (dist convolution oracle) =="
+# The transform path of PMF.Convolve against the direct loop, and the
+# histogram-only block collection against the sampler it replaced.
+go test -race -cpu 1,2 -run 'Convolve|CollectBlockHistogram' ./internal/dist/ ./internal/sim/
 
 echo "== go test -race (workers determinism) =="
-go test -race -run 'Deterministic' ./internal/sim/... ./internal/experiments/... ./internal/netsim/...
+go test -race -cpu 1,2 -run 'Deterministic' ./internal/sim/... ./internal/experiments/... ./internal/netsim/...
 
 echo "== netsim smoke (workers 1 vs 4 determinism under -race, full battery incl. correlated loss + dup) =="
 tmp="$(mktemp -d)"
