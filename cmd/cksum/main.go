@@ -4,13 +4,14 @@
 //
 // Usage:
 //
-//	cksum [-a <name>|all] [-kernel nguyen] [file ...]
+//	cksum [-a <name>|all] [-kernel stdlib|slicing8|scalar|auto] [file ...]
 //
 // The algorithm set comes from the internal/algo registry; run with
 // -a list to see the names.  With no files, reads standard input.
 // With -a all (the default), prints every algorithm for each input.
-// -kernel pins the CRC bulk engine (slicing8, scalar, chorba, nguyen,
-// or auto) instead of the default verified per-algorithm race.
+// -kernel pins the CRC bulk engine (stdlib, slicing8, scalar, or auto)
+// instead of the default: the first of stdlib, slicing8, scalar that
+// the algorithm supports and that verifies against the scalar oracle.
 package main
 
 import (
@@ -25,7 +26,7 @@ import (
 
 func main() {
 	algName := flag.String("a", "all", "algorithm name, \"all\", or \"list\"")
-	kernel := flag.String("kernel", "", "force a CRC bulk kernel (slicing8, scalar, chorba, nguyen, or auto; default: verified per-algorithm racing)")
+	kernel := flag.String("kernel", "", "force a CRC bulk kernel (stdlib, slicing8, scalar, or auto; default: the first of stdlib, slicing8, scalar that verifies)")
 	flag.Parse()
 
 	if *kernel != "" {

@@ -14,7 +14,7 @@ import (
 // benchAlgoRecord is one line of BENCH_algo.json: the one-shot
 // throughput of a registry algorithm at one input size, in the units
 // `go test -bench -benchmem` reports.  CRC records additionally name
-// the raced bulk kernel and, at the bulk size, carry the slicing-by-8
+// the selected bulk kernel and, at the bulk size, carry the slicing-by-8
 // baseline the kernel layer is measured against.
 type benchAlgoRecord struct {
 	Algo        string  `json:"algo"`
@@ -114,8 +114,8 @@ func timeSum(a algo.Algorithm, buf []byte, iters int) (nsPerOp, allocsPerOp floa
 	}
 	var sink uint64
 	runtime.GC()
-	// Warm the kernel scratch pools after the GC purge, so the timed
-	// region sees only steady-state behavior.
+	// One untimed call after the GC, so the timed region sees only
+	// steady-state behavior.
 	sink ^= algo.Sum(a, buf)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)

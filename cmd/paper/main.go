@@ -11,7 +11,7 @@
 //	paper -benchjson BENCH_splice.json [-scale 0.05] [-benchiters 3]
 //	paper -benchdistjson BENCH_dist.json [-scale 0.05] [-benchiters 3]
 //	paper -benchnetsimjson BENCH_netsim.json [-scale 0.05] [-benchiters 3] [-placement e2e,segment]
-//	paper -benchalgojson BENCH_algo.json [-benchiters 3] [-kernel nguyen]
+//	paper -benchalgojson BENCH_algo.json [-benchiters 3] [-kernel stdlib|slicing8|scalar|auto]
 //
 // With no -run flag every experiment runs in paper order.  The -scale
 // flag multiplies the corpus sizes (1.0 ≈ a few MB per file system; the
@@ -57,13 +57,14 @@
 // for the distribution passes (Figures 2–3, Tables 4–5), at one worker
 // and at GOMAXPROCS workers so the records carry the parallel speedup.
 // -benchalgojson times every registry algorithm's one-shot checksum at
-// cell, MTU and bulk sizes, recording the raced CRC kernel and its
+// cell, MTU and bulk sizes, recording the selected CRC kernel and its
 // speedup over the slicing-by-8 baseline.
 //
-// -kernel pins the CRC bulk engine (slicing8, scalar, chorba, nguyen,
-// or auto) for every table the run builds, overriding the verified
-// per-algorithm race — the reproducibility knob for comparing kernel
-// generations on the same hardware.
+// -kernel pins the CRC bulk engine (stdlib, slicing8, scalar, or auto)
+// for every table the run builds, overriding the fixed order (the first
+// of stdlib, slicing8, scalar that verifies against the scalar oracle)
+// — the reproducibility knob for comparing kernels on the same
+// hardware.
 package main
 
 import (
@@ -98,7 +99,7 @@ func main() {
 	benchnetsimjson := flag.String("benchnetsimjson", "", "time the netsim fault-injection pipeline per (fault model × checksum placement) and write trials/sec, MB/s and allocs/trial records to this file (e.g. BENCH_netsim.json), then exit")
 	placement := flag.String("placement", "", "comma-separated checksum placements for -benchnetsimjson (default: all of "+strings.Join(netsim.PlacementNames(), ",")+")")
 	benchalgojson := flag.String("benchalgojson", "", "time every registry algorithm's one-shot checksum at cell/MTU/bulk sizes and write ns/op, GB/s, allocs/op and kernel-speedup records to this file (e.g. BENCH_algo.json), then exit")
-	kernel := flag.String("kernel", "", "force the CRC bulk kernel for the whole run (one of "+strings.Join(crc.KernelNames(), ", ")+", or auto; default: verified per-algorithm racing)")
+	kernel := flag.String("kernel", "", "force the CRC bulk kernel for the whole run (one of "+strings.Join(crc.KernelNames(), ", ")+", or auto; default: the first of stdlib, slicing8, scalar that verifies)")
 	benchIters := flag.Int("benchiters", 3, "iterations per -benchjson/-benchdistjson record")
 	flag.Parse()
 

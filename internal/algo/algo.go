@@ -59,26 +59,27 @@ type Digest interface {
 // segment through it — and carries the performance contract the loops
 // rely on: one virtual call per buffer, no Digest construction, and
 // zero steady-state allocations for every registry algorithm (pinned by
-// TestSumZeroAlloc).  Bulk CRC input dispatches through the raced
-// kernel layer underneath (see internal/crc and SetCRCKernel).
+// TestSumZeroAlloc).  Bulk CRC input dispatches through the kernel
+// layer underneath (see internal/crc and SetCRCKernel).
 func Sum(a Algorithm, data []byte) uint64 { return a.Sum(data) }
 
 // KernelControl is implemented by algorithms whose bulk engine is
 // selectable at runtime — the CRC family's kernel layer.  Reconfigure
 // before sharing an algorithm across goroutines.
 type KernelControl interface {
-	// Kernel names the bulk engine in use ("slicing8", "nguyen", ...).
+	// Kernel names the bulk engine in use ("stdlib", "slicing8", ...).
 	Kernel() string
 	// Kernels lists the engines available for this algorithm.
 	Kernels() []string
 	// SetKernel forces the named engine after differential
-	// verification against the scalar oracle; "auto" restores racing.
+	// verification against the scalar oracle; "auto" restores the
+	// fixed order.
 	SetKernel(name string) error
 }
 
 // SetCRCKernel points every registered CRC algorithm at the named bulk
 // kernel, with the same semantics as the REALSUM_CRC_KERNEL environment
-// variable: "auto" (or "") restores per-table racing, and algorithms
+// variable: "auto" (or "") restores the fixed order, and algorithms
 // whose parameterization lacks the named kernel fall back to
 // slicing-by-8 rather than erroring, so one flag value applies across
 // the whole registry.  Unknown kernel names and verification failures

@@ -20,7 +20,7 @@
 //     into a corpus-shaped P_ud.
 //
 // Candidates not in the default algo registry are built from generic
-// crc.Params via algo.NewCRC, so they use the same verify-then-race
+// crc.Params via algo.NewCRC, so they use the same verified
 // kernel tables and zero-alloc Sum path as the built-ins.  Register
 // (gated — never an init side effect, so default-battery reports keep
 // their pinned shape) publishes them to the registry for netsim/cksumd

@@ -19,7 +19,7 @@ func (t *Table) Combine(crcA, crcB uint64, lenB int) uint64 {
 	}
 	regA := t.unfinalizeReg(crcA)
 	regB := t.unfinalizeReg(crcB)
-	reg := t.shiftReg(regA^t.initReg(), uint64(lenB)*8) ^ regB
+	reg := t.shiftReg(regA^t.initReg, uint64(lenB)*8) ^ regB
 	return t.finalizeReg(reg)
 }
 
@@ -34,7 +34,7 @@ func (t *Table) Zeroes(crc uint64, n int) uint64 {
 	// with an empty B: reg' = shift(reg ⊕ I, 8n) ⊕ regEmptyFromInit,
 	// where regEmptyFromInit = shift(I, 8n).
 	reg := t.unfinalizeReg(crc)
-	reg = t.shiftReg(reg^t.initReg(), uint64(n)*8) ^ t.shiftReg(t.initReg(), uint64(n)*8)
+	reg = t.shiftReg(reg^t.initReg, uint64(n)*8) ^ t.shiftReg(t.initReg, uint64(n)*8)
 	return t.finalizeReg(reg)
 }
 

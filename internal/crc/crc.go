@@ -8,18 +8,20 @@
 // CRC-16 family, and the CRC-8 HEC of the ATM cell header.
 //
 // Bulk input dispatches through an interchangeable kernel layer
-// (kernel.go): byte-at-a-time scalar, slicing-by-8, the table-free
-// chorba fold and the wide-word nguyen recurrence.  New verifies each
-// candidate against the scalar oracle and races the survivors, so
-// callers get the fastest correct engine automatically; SetKernel and
-// the REALSUM_CRC_KERNEL environment variable pin one for reproducible
-// measurement.
+// (kernel.go): byte-at-a-time scalar, slicing-by-8, and hash/crc32's
+// hardware path for CRC-32 and CRC-32C.  New takes the first of stdlib,
+// slicing8, scalar that the parameterization supports and that verifies
+// against the scalar oracle; SetKernel and the REALSUM_CRC_KERNEL
+// environment variable pin one for reproducible measurement.
 //
 // The CRC-32 path is verified bit-for-bit against the standard library's
 // hash/crc32 and against the published catalog check values.
 package crc
 
-import "fmt"
+import (
+	"fmt"
+	"hash/crc32"
+)
 
 // Params describes a CRC algorithm in the Rocksoft model.
 type Params struct {
@@ -116,12 +118,14 @@ func (p Params) BitwiseChecksum(data []byte) uint64 {
 // left-aligned in a 64-bit word so any width from 1 to 64 shares one
 // code path.
 type Table struct {
-	params Params
-	tab    [256]uint64
-	shift  uint8 // 64 − Width, for the left-aligned (non-reflected) path
-	slice  *slicing
-	sp     *sparseKernel // fold geometry, nil without a catalogued sparse multiple
-	kern   kernelID      // selected bulk engine (see kernel.go)
+	params  Params
+	tab     [256]uint64
+	shift   uint8  // 64 − Width, for the left-aligned (non-reflected) path
+	initReg uint64 // initial raw register in internal alignment
+	slice   *slicing
+	std     *crc32.Table // hash/crc32's table, nil unless CRC-32 or CRC-32C
+	stdMin  int          // shortest input the stdlib engine takes
+	kern    kernelID     // selected bulk engine (see kernel.go)
 }
 
 // New builds the lookup table for p.  It panics if p.Width is outside
@@ -162,8 +166,15 @@ func New(p Params) *Table {
 			t.tab[b] = reg
 		}
 	}
+	if p.RefIn {
+		t.initReg = Reflect(p.Init&p.Mask(), p.Width)
+	} else {
+		t.initReg = (p.Init & p.Mask()) << t.shift
+	}
 	t.slice = t.buildSlicing()
-	t.sp = sparseFor(p)
+	if t.std = stdlibTable(p); t.std == crc32.IEEETable {
+		t.stdMin = stdlibIEEEMin
+	}
 	t.kern = t.selectKernel()
 	return t
 }
@@ -191,8 +202,8 @@ func TryNew(p Params) (t *Table, err error) {
 func (t *Table) Params() Params { return t.params }
 
 // update advances a raw register (in the table's internal alignment)
-// through the selected bulk kernel; inputs below a kernel's reach fall
-// back to slicing-by-8, and sub-word tails to the scalar loop.
+// through the selected bulk kernel; inputs below a kernel's floor fall
+// back to slicing-by-8, and short inputs to the scalar loop.
 func (t *Table) update(reg uint64, data []byte) uint64 {
 	return t.kernelUpdate(t.kern, reg, data)
 }
@@ -210,15 +221,6 @@ func (t *Table) updateScalar(reg uint64, data []byte) uint64 {
 		reg = tab[byte(reg>>56)^b] ^ reg<<8
 	}
 	return reg
-}
-
-// initReg returns the initial raw register in internal alignment.
-func (t *Table) initReg() uint64 {
-	p := t.params
-	if p.RefIn {
-		return Reflect(p.Init&p.Mask(), p.Width)
-	}
-	return (p.Init & p.Mask()) << t.shift
 }
 
 // finalizeReg converts an internal raw register to the published value.
@@ -242,7 +244,7 @@ func (t *Table) unfinalizeReg(crc uint64) uint64 {
 
 // Checksum computes the CRC of data.
 func (t *Table) Checksum(data []byte) uint64 {
-	return t.finalizeReg(t.update(t.initReg(), data))
+	return t.finalizeReg(t.update(t.initReg, data))
 }
 
 // Update extends a previously computed CRC with more data, as if the
@@ -254,7 +256,7 @@ func (t *Table) Update(crc uint64, data []byte) uint64 {
 // RawInit returns the initial raw register state, for callers (like the
 // splice enumerator) that thread a register through branching
 // computations as a plain value.
-func (t *Table) RawInit() uint64 { return t.initReg() }
+func (t *Table) RawInit() uint64 { return t.initReg }
 
 // RawUpdate advances a raw register over data.
 func (t *Table) RawUpdate(reg uint64, data []byte) uint64 { return t.update(reg, data) }
@@ -270,10 +272,10 @@ type Digest struct {
 }
 
 // NewDigest returns a streaming digest over t's algorithm.
-func (t *Table) NewDigest() *Digest { return &Digest{t: t, reg: t.initReg()} }
+func (t *Table) NewDigest() *Digest { return &Digest{t: t, reg: t.initReg} }
 
 // Reset restores the digest to its initial state.
-func (d *Digest) Reset() { d.reg, d.n = d.t.initReg(), 0 }
+func (d *Digest) Reset() { d.reg, d.n = d.t.initReg, 0 }
 
 // Write absorbs data.  It never fails.
 func (d *Digest) Write(data []byte) (int, error) {

@@ -2,40 +2,52 @@ package crc
 
 import (
 	"fmt"
+	"hash/crc32"
 	"os"
 	"sync"
-	"time"
 )
 
-// Kernel racing: every Table carries one of four interchangeable bulk
-// engines — the byte-at-a-time scalar loop (the oracle), slicing-by-8,
-// the table-free chorba fold and the wide-word nguyen recurrence.  New
-// differentially verifies each candidate against the scalar engine on
-// a pinned vector set and then races the verified ones on bulk input,
-// so every consumer of a Table (splice enumeration, sim.Collect,
-// netsim trials) gets the fastest correct kernel with zero call-site
-// changes.  Selection is cached per Params and overridable through the
-// REALSUM_CRC_KERNEL environment variable or Table.SetKernel (the
-// -kernel flag on cmd/paper and cmd/cksum) for reproducible runs.
+// The kernel layer: every Table carries one of three interchangeable
+// bulk engines — the byte-at-a-time scalar loop (the oracle),
+// slicing-by-8, and the standard library's hash/crc32 (CLMUL or SSE4.2
+// where the CPU has them) for the two 32-bit polynomials it implements.
+// New picks the first engine, in the fixed order stdlib, slicing8,
+// scalar, that the parameterization supports and that verifies against
+// the scalar engine on a pinned vector set; an engine that fails
+// verification is skipped, never used.  Every consumer of a Table
+// (splice enumeration, sim.Collect, netsim trials) gets that engine
+// with zero call-site changes.  Selection is cached per Params and
+// overridable through the REALSUM_CRC_KERNEL environment variable or
+// Table.SetKernel (the -kernel flag on cmd/paper and cmd/cksum) for
+// reproducible measurement.
 
-// kernelID names one bulk engine.  The zero value is slicing-by-8, the
-// pre-kernel-layer default, so a zero Table behaves as before.
+// kernelID names one bulk engine.
 type kernelID uint8
 
 const (
 	kernelSlicing8 kernelID = iota
 	kernelScalar
-	kernelChorba
-	kernelNguyen
+	kernelStdlib
 	numKernels
 )
 
-var kernelNames = [numKernels]string{"slicing8", "scalar", "chorba", "nguyen"}
+var kernelNames = [numKernels]string{"slicing8", "scalar", "stdlib"}
+
+// kernelOrder is the selection preference: the first available engine
+// that verifies wins.
+var kernelOrder = [numKernels]kernelID{kernelStdlib, kernelSlicing8, kernelScalar}
+
+// stdlibIEEEMin is the shortest input the stdlib engine hands to
+// hash/crc32 for the IEEE polynomial.  Below 64 bytes hash/crc32 runs
+// its own slicing-by-8 rather than CLMUL, which is slower than ours
+// (48 B on a 2-vCPU Xeon: 34 ns in-repo vs 53 ns in hash/crc32);
+// Castagnoli's SSE4.2 path wins at every length, so it has no floor.
+const stdlibIEEEMin = 64
 
 // KernelEnv is the environment variable that forces a kernel by name
-// for every subsequently built Table ("auto" or empty restores racing;
-// a kernel unavailable for some parameterization falls back to
-// slicing-by-8 there).
+// for every subsequently built Table ("auto" or empty restores the
+// fixed order; a kernel unavailable for some parameterization falls
+// back to slicing-by-8 there).
 const KernelEnv = "REALSUM_CRC_KERNEL"
 
 // KernelNames lists every kernel the engine knows, selected or not.
@@ -50,31 +62,44 @@ func kernelByName(name string) (kernelID, bool) {
 	return 0, false
 }
 
+// stdlibTable returns hash/crc32's table for p, or nil when p is not
+// one of the two parameterizations hash/crc32 accelerates: reflected,
+// width 32, poly IEEE or Castagnoli.  Init and XorOut do not matter —
+// the engine only advances a raw register.
+func stdlibTable(p Params) *crc32.Table {
+	if p.Width != 32 || !p.RefIn {
+		return nil
+	}
+	switch p.Poly {
+	case 0x04C11DB7:
+		return crc32.IEEETable
+	case 0x1EDC6F41:
+		return crc32.MakeTable(crc32.Castagnoli)
+	}
+	return nil
+}
+
 // Kernel returns the name of the bulk engine this table dispatches to.
 func (t *Table) Kernel() string { return kernelNames[t.kern] }
 
 // Kernels returns the kernels available for this table's
-// parameterization: always scalar and slicing8, plus chorba and nguyen
-// when a sparse multiple of the generator is catalogued.
+// parameterization: always slicing8 and scalar, plus stdlib for
+// CRC-32 and CRC-32C.
 func (t *Table) Kernels() []string {
 	out := []string{}
-	for _, k := range t.availableKernels() {
-		out = append(out, kernelNames[k])
+	for k := kernelID(0); k < numKernels; k++ {
+		if t.hasKernel(k) {
+			out = append(out, kernelNames[k])
+		}
 	}
 	return out
 }
 
-func (t *Table) availableKernels() []kernelID {
-	ks := []kernelID{kernelSlicing8, kernelScalar}
-	if t.sp != nil {
-		ks = append(ks, kernelChorba, kernelNguyen)
-	}
-	return ks
-}
+func (t *Table) hasKernel(k kernelID) bool { return k != kernelStdlib || t.std != nil }
 
 // SetKernel forces the table onto the named kernel after differentially
 // verifying it against the scalar engine on the pinned vectors; "auto"
-// re-runs verification and racing.  It errors on unknown names, on
+// restores the fixed-order choice.  It errors on unknown names, on
 // kernels the parameterization does not support, and on verification
 // mismatch.  Reconfigure before sharing the table across goroutines:
 // the kernel field itself is written unsynchronized.
@@ -87,10 +112,10 @@ func (t *Table) SetKernel(name string) error {
 	if !ok {
 		return fmt.Errorf("crc: unknown kernel %q (known: %v)", name, KernelNames())
 	}
-	if (k == kernelChorba || k == kernelNguyen) && t.sp == nil {
-		return fmt.Errorf("crc: kernel %q unavailable for %s (no sparse multiple catalogued)", name, t.params.Name)
+	if !t.hasKernel(k) {
+		return fmt.Errorf("crc: kernel %q unavailable for %s (hash/crc32 implements only CRC-32 and CRC-32C)", name, t.params.Name)
 	}
-	if err := t.VerifyKernel(name); err != nil {
+	if err := t.verifyKernel(k); err != nil {
 		return err
 	}
 	t.kern = k
@@ -99,8 +124,8 @@ func (t *Table) SetKernel(name string) error {
 
 // VerifyKernel differentially checks the named kernel against the
 // scalar oracle on the pinned vector set (all 8 alignments of the bulk
-// loop, lengths from 0 through 64 KiB including the fold-reach
-// boundaries, two register states) and returns the first mismatch.
+// loop, lengths from 0 through 64 KiB including the stdlib floor, two
+// register states) and returns the first mismatch.
 func (t *Table) VerifyKernel(name string) error {
 	k, ok := kernelByName(name)
 	if !ok {
@@ -110,21 +135,19 @@ func (t *Table) VerifyKernel(name string) error {
 }
 
 // kernelUpdate advances a raw register over data with a specific
-// kernel.  The chorba and nguyen engines hand inputs below their
-// minimum reach to the slicing path, which in turn hands sub-word
-// tails to the scalar loop — the dispatch every length from 0 up must
-// survive (see TestKernelShortInputs).
+// kernel.  The stdlib engine hands IEEE inputs below its floor to the
+// slicing path, which in turn hands short inputs to the scalar loop —
+// the dispatch every length from 0 up must survive (see
+// TestKernelShortInputs).
 func (t *Table) kernelUpdate(k kernelID, reg uint64, data []byte) uint64 {
 	switch k {
 	case kernelScalar:
 		return t.updateScalar(reg, data)
-	case kernelChorba:
-		if len(data) >= t.sp.bulkMin {
-			return t.chorba(reg, data)
-		}
-	case kernelNguyen:
-		if len(data) >= t.sp.bulkMin {
-			return t.nguyen(reg, data)
+	case kernelStdlib:
+		if len(data) >= t.stdMin {
+			// hash/crc32 complements on entry and exit around the same
+			// reflected register this table keeps.
+			return uint64(^crc32.Update(^uint32(reg), t.std, data))
 		}
 	}
 	if len(data) >= 16 {
@@ -137,8 +160,8 @@ func (t *Table) kernelUpdate(k kernelID, reg uint64, data []byte) uint64 {
 // Pinned verification vectors.
 
 // pinnedBuf is 64 KiB + 64 of fixed splitmix64 output: every
-// verification vector and the racing input are slices of it, so the
-// oracle comparison is reproducible across runs and machines.
+// verification vector is a slice of it, so the oracle comparison is
+// reproducible across runs and machines.
 var pinnedBuf = sync.OnceValue(func() []byte {
 	b := make([]byte, 64<<10+64)
 	s := uint64(0x9E3779B97F4A7C15)
@@ -156,24 +179,14 @@ var pinnedBuf = sync.OnceValue(func() []byte {
 })
 
 // pinnedLengths covers the dispatch seams: every sub-word tail 0–9,
-// the scalar/slicing boundary at 16, packet-ish sizes, the fold
-// kernels' minimum-reach boundary plus the word/byte stage hand-off
-// inside them, and full 64 KiB bulk.
-func (t *Table) pinnedLengths() []int {
-	ls := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 255, 256, 1500}
-	if t.sp != nil {
-		ls = append(ls,
-			t.sp.bulkMin-1, t.sp.bulkMin, t.sp.bulkMin+7, t.sp.bulkMin+8,
-			t.sp.bulkMin+15, t.sp.bulkMin+16, t.sp.bulkMin+21, t.sp.bulkMin+64)
-	}
-	ls = append(ls, 4096, 64<<10)
-	return ls
-}
+// the scalar/slicing boundary at 16, the stdlib IEEE floor at 64,
+// packet-ish sizes, and full 64 KiB bulk.
+var pinnedLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 255, 256, 1500, 4096, 64 << 10}
 
 func (t *Table) verifyKernel(k kernelID) error {
 	buf := pinnedBuf()
-	regs := [2]uint64{t.initReg(), t.updateScalar(t.initReg(), buf[:17])}
-	for i, n := range t.pinnedLengths() {
+	regs := [2]uint64{t.initReg, t.updateScalar(t.initReg, buf[:17])}
+	for i, n := range pinnedLengths {
 		off := i & 7 // walk the bulk loop through all 8 alignments
 		data := buf[off : off+n]
 		for _, reg := range regs {
@@ -188,15 +201,12 @@ func (t *Table) verifyKernel(k kernelID) error {
 }
 
 // ---------------------------------------------------------------------
-// Selection: verify, then race.
+// Selection: the first engine in kernelOrder that verifies.
 
-// selCache memoizes auto-selection per Params so table-heavy callers
-// (tests, the effective-bits polynomial sweeps) race each
+// selCache memoizes auto-selection per Params, so table-heavy callers
+// (tests, the census, per-worker AAL5 tables) verify each
 // parameterization at most once per process.
 var selCache sync.Map // Params -> kernelID
-
-// raceSink keeps the racing loop's checksums live.
-var raceSink uint64
 
 func (t *Table) selectKernel() kernelID {
 	if name := os.Getenv(KernelEnv); name != "" && name != "auto" {
@@ -204,7 +214,7 @@ func (t *Table) selectKernel() kernelID {
 		if !ok {
 			panic(fmt.Sprintf("crc: %s=%q names no kernel (known: %v)", KernelEnv, name, KernelNames()))
 		}
-		if (k == kernelChorba || k == kernelNguyen) && t.sp == nil {
+		if !t.hasKernel(k) {
 			return kernelSlicing8
 		}
 		if err := t.verifyKernel(k); err != nil {
@@ -212,58 +222,22 @@ func (t *Table) selectKernel() kernelID {
 		}
 		return k
 	}
-	if t.sp == nil {
-		// Without a sparse multiple the only candidates are scalar and
-		// slicing-by-8; slicing dominates on bulk, and racing hundreds
-		// of custom-polynomial tables would cost more than it returns.
-		return kernelSlicing8
-	}
 	if k, ok := selCache.Load(t.params); ok {
 		return k.(kernelID)
 	}
-	var verified []kernelID
-	for _, k := range t.availableKernels() {
-		if t.verifyKernel(k) == nil {
-			verified = append(verified, k)
-		}
-	}
-	best := t.raceKernels(verified)
+	best := t.firstVerified()
 	selCache.Store(t.params, best)
 	return best
 }
 
-// raceKernels times each verified candidate on the pinned 64 KiB bulk
-// buffer and returns the fastest.  Rounds are interleaved across the
-// candidates — each round times every kernel once, and a candidate's
-// score is its minimum over nine rounds — so a transient stall (this
-// is tuned for noisy shared-CPU containers) penalizes whoever it hits
-// rather than whoever ran last.  Earlier candidates win ties, so the
-// slicing default survives a dead heat.
-func (t *Table) raceKernels(cands []kernelID) kernelID {
-	if len(cands) == 0 {
-		return kernelScalar
-	}
-	buf := pinnedBuf()[:64<<10]
-	reg := t.initReg()
-	minT := make([]time.Duration, len(cands))
-	for i, k := range cands {
-		minT[i] = time.Duration(1 << 62)
-		raceSink ^= t.kernelUpdate(k, reg, buf) // warm pools and caches
-	}
-	for round := 0; round < 9; round++ {
-		for i, k := range cands {
-			start := time.Now()
-			raceSink ^= t.kernelUpdate(k, reg, buf)
-			if d := time.Since(start); d < minT[i] {
-				minT[i] = d
-			}
+// firstVerified walks kernelOrder and returns the first engine the
+// table supports that agrees with the scalar oracle.  Scalar is the
+// oracle itself, so the walk always ends.
+func (t *Table) firstVerified() kernelID {
+	for _, k := range kernelOrder {
+		if t.hasKernel(k) && (k == kernelScalar || t.verifyKernel(k) == nil) {
+			return k
 		}
 	}
-	best := 0
-	for i := range cands {
-		if minT[i] < minT[best] {
-			best = i
-		}
-	}
-	return cands[best]
+	return kernelScalar
 }

@@ -7,41 +7,13 @@ import (
 	"testing"
 )
 
-// sparseParams are the parameterizations with catalogued sparse
-// multiples, i.e. the ones the chorba and nguyen kernels accept.
-func sparseParams() []Params { return []Params{CRC32, CRC32C} }
+// stdlibParams are the parameterizations the stdlib kernel accepts.
+func stdlibParams() []Params { return []Params{CRC32, CRC32C} }
 
-// TestSparseMultiplesAreMultiples re-derives the pinned exponent lists'
-// defining property against the bitwise reference engine: the sum of
-// x^{u·e} mod G over the exponents is zero for both the byte (u=8) and
-// the lifted word (u=64) readings.  A wrong constant fails here before
-// it can fail anywhere subtler.
-func TestSparseMultiplesAreMultiples(t *testing.T) {
-	for _, p := range sparseParams() {
-		exps := sparseMultiples[p.Poly]
-		if exps == nil || exps[0] != 0 {
-			t.Fatalf("%s: missing or unnormalized exponent list %v", p.Name, exps)
-		}
-		for _, unitBytes := range []int{1, 8} { // x^8 and x^64 units
-			// x^{u·e} mod G is the register after e unit-sized zero
-			//"bytes" advance a register seeded with polynomial 1.
-			// Work unreflected: seed register 1, shift in zero bytes.
-			q := Params{Name: p.Name, Width: p.Width, Poly: p.Poly}
-			acc := uint64(0)
-			for _, e := range exps {
-				reg := uint64(1)
-				reg = q.bitwiseUpdate(reg, make([]byte, e*unitBytes))
-				acc ^= reg
-			}
-			if acc != 0 {
-				t.Errorf("%s: exponents %v (unit %d bytes) do not sum to a multiple of the generator (residue %#x)",
-					p.Name, exps, unitBytes, acc)
-			}
-		}
-	}
-}
+// kernelSink keeps benchmarked and alloc-counted checksums live.
+var kernelSink uint64
 
-// TestKernelsDifferentialOracle races every kernel against the scalar
+// TestKernelsDifferentialOracle checks every kernel against the scalar
 // engine across every catalogued parameterization on random lengths
 // from 0 to 64 KiB, sliding the data through all 8 alignments of the
 // 8-byte bulk loop, and pins the CRC-32/CRC-32C results to the
@@ -63,9 +35,9 @@ func TestKernelsDifferentialOracle(t *testing.T) {
 			for _, n := range lengths {
 				for align := 0; align < 8; align++ {
 					data := base[align : align+n]
-					want := tab.finalizeReg(tab.updateScalar(tab.initReg(), data))
+					want := tab.finalizeReg(tab.updateScalar(tab.initReg, data))
 					k, _ := kernelByName(kn)
-					got := tab.finalizeReg(tab.kernelUpdate(k, tab.initReg(), data))
+					got := tab.finalizeReg(tab.kernelUpdate(k, tab.initReg, data))
 					if got != want {
 						t.Fatalf("%s/%s: len=%d align=%d: %#x != scalar %#x",
 							p.Name, kn, n, align, got, want)
@@ -92,7 +64,7 @@ func TestKernelsDifferentialOracle(t *testing.T) {
 // against the bitwise reference, at every alignment.
 func TestKernelShortInputs(t *testing.T) {
 	base := []byte("\x00\xff\x55\xaaThe quick brown fox jumps over the lazy dog 0123456789abcdef!!")
-	for _, p := range sparseParams() {
+	for _, p := range stdlibParams() {
 		tab := New(p)
 		for _, kn := range tab.Kernels() {
 			k, _ := kernelByName(kn)
@@ -100,41 +72,10 @@ func TestKernelShortInputs(t *testing.T) {
 				for align := 0; align < 8; align++ {
 					data := base[align : align+n]
 					want := p.BitwiseChecksum(data)
-					got := tab.finalizeReg(tab.kernelUpdate(k, tab.initReg(), data))
+					got := tab.finalizeReg(tab.kernelUpdate(k, tab.initReg, data))
 					if got != want {
 						t.Fatalf("%s/%s len=%d align=%d: %#x != bitwise %#x", p.Name, kn, n, align, got, want)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestKernelFoldBoundaries drives each fold kernel across its minimum
-// reach one byte at a time, where the scratch-copy loop, the ring
-// drain and the scalar tail exchange responsibility.
-func TestKernelFoldBoundaries(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 11))
-	for _, p := range sparseParams() {
-		tab := New(p)
-		if tab.sp == nil {
-			t.Fatalf("%s: no sparse kernel", p.Name)
-		}
-		var lens []int
-		for d := -9; d <= 9; d++ {
-			// The dispatch floor, plus the interior hand-offs: word stage
-			// to byte stage (span words in) and byte stage to scalar tail.
-			lens = append(lens, tab.sp.bulkMin+d, tab.sp.bulkMin+8*tab.sp.span+d, 9*tab.sp.span+d)
-		}
-		for _, kid := range []kernelID{kernelChorba, kernelNguyen} {
-			for _, n := range lens {
-				data := make([]byte, n)
-				for i := range data {
-					data[i] = byte(rng.Uint32())
-				}
-				want := tab.updateScalar(tab.initReg(), data)
-				if got := tab.kernelUpdate(kid, tab.initReg(), data); got != want {
-					t.Fatalf("%s/%s len=%d: %#x != scalar %#x", p.Name, kernelNames[kid], n, got, want)
 				}
 			}
 		}
@@ -155,15 +96,37 @@ func TestSelectedKernelMatchesOracle(t *testing.T) {
 			t.Errorf("%s: selection not stable within process: %s then %s", p.Name, tab.Kernel(), again.Kernel())
 		}
 	}
-	tab := New(CRC16) // no sparse multiple → slicing8 without racing
-	if tab.Kernel() != "slicing8" {
-		t.Errorf("CRC-16 selected %s, want slicing8", tab.Kernel())
+	// The fixed order resolves hash/crc32's two polynomials to stdlib
+	// and every other catalog entry — the census slate included — to
+	// slicing8.
+	for _, p := range Catalog() {
+		want := "slicing8"
+		if p.Width == 32 && p.RefIn && (p.Poly == CRC32.Poly || p.Poly == CRC32C.Poly) {
+			want = "stdlib"
+		}
+		if got := New(p).Kernel(); got != want {
+			t.Errorf("%s selected %s, want %s", p.Name, got, want)
+		}
+	}
+}
+
+// TestFailedKernelFallsThrough pins the fixed order's safety rule: an
+// engine that disagrees with the scalar oracle is skipped for the next
+// one and refused by SetKernel, never used.
+func TestFailedKernelFallsThrough(t *testing.T) {
+	tab := New(CRC32)
+	tab.std = crc32.MakeTable(crc32.Castagnoli) // wrong polynomial
+	if got := tab.firstVerified(); got != kernelSlicing8 {
+		t.Errorf("broken stdlib engine: selection = %s, want slicing8", kernelNames[got])
+	}
+	if err := tab.SetKernel("stdlib"); err == nil {
+		t.Error("SetKernel(stdlib) accepted an engine that fails the oracle")
 	}
 }
 
 // TestSetKernel covers the override surface: every available kernel
 // takes, unknown names and unsupported kernels error, and "auto"
-// restores a raced choice.
+// restores the fixed-order choice.
 func TestSetKernel(t *testing.T) {
 	tab := New(CRC32)
 	for _, kn := range tab.Kernels() {
@@ -180,9 +143,12 @@ func TestSetKernel(t *testing.T) {
 	if err := tab.SetKernel("auto"); err != nil {
 		t.Errorf("SetKernel(auto): %v", err)
 	}
+	if tab.Kernel() != "stdlib" {
+		t.Errorf("Kernel() = %s after SetKernel(auto), want stdlib", tab.Kernel())
+	}
 	t16 := New(CRC16)
-	if err := t16.SetKernel("chorba"); err == nil {
-		t.Error("SetKernel(chorba) on CRC-16 succeeded; no sparse multiple exists")
+	if err := t16.SetKernel("stdlib"); err == nil {
+		t.Error("SetKernel(stdlib) on CRC-16 succeeded; hash/crc32 has no CRC-16")
 	}
 	if len(t16.Kernels()) != 2 {
 		t.Errorf("CRC-16 kernels = %v, want scalar+slicing8 only", t16.Kernels())
@@ -191,15 +157,16 @@ func TestSetKernel(t *testing.T) {
 
 // TestKernelStreamingDigest checks that a Digest fed arbitrary chunk
 // sizes through each kernel agrees with the one-shot checksum: the
-// fold kernels must compose across Write boundaries via the raw
-// register exactly like the table paths do.
+// stdlib engine must compose across Write boundaries via the raw
+// register exactly like the table paths do, including chunks on both
+// sides of its 64-byte IEEE floor.
 func TestKernelStreamingDigest(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 13))
 	data := make([]byte, 20000)
 	for i := range data {
 		data[i] = byte(rng.Uint32())
 	}
-	for _, p := range sparseParams() {
+	for _, p := range stdlibParams() {
 		tab := New(p)
 		want := tab.Checksum(data)
 		for _, kn := range tab.Kernels() {
@@ -208,7 +175,10 @@ func TestKernelStreamingDigest(t *testing.T) {
 			}
 			d := tab.NewDigest()
 			for off := 0; off < len(data); {
-				n := 1 + rng.IntN(4000)
+				n := 1 + rng.IntN(128)
+				if rng.IntN(4) == 0 {
+					n = 1 + rng.IntN(4000)
+				}
 				if off+n > len(data) {
 					n = len(data) - off
 				}
@@ -223,23 +193,22 @@ func TestKernelStreamingDigest(t *testing.T) {
 	}
 }
 
-// TestKernelZeroAlloc pins the pooled-scratch contract: once warm, the
-// fold kernels checksum bulk input without allocating.
+// TestKernelZeroAlloc pins the zero-allocation contract the netsim
+// trial loop relies on: every kernel checksums cell-sized, MTU-sized
+// and bulk input without allocating.
 func TestKernelZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomly drops Puts under the race detector, so alloc counts are not meaningful")
-	}
-	data := pinnedBuf()[:64<<10]
-	for _, p := range sparseParams() {
+	for _, p := range stdlibParams() {
 		tab := New(p)
-		for _, kid := range []kernelID{kernelChorba, kernelNguyen} {
-			kid := kid
-			tab.kernelUpdate(kid, tab.initReg(), data) // warm the pools
-			allocs := testing.AllocsPerRun(20, func() {
-				raceSink ^= tab.kernelUpdate(kid, tab.initReg(), data)
-			})
-			if allocs > 0 {
-				t.Errorf("%s/%s: %.1f allocs per 64 KiB checksum, want 0", p.Name, kernelNames[kid], allocs)
+		for _, kn := range tab.Kernels() {
+			kid, _ := kernelByName(kn)
+			for _, n := range []int{48, 1500, 64 << 10} {
+				data := pinnedBuf()[:n]
+				allocs := testing.AllocsPerRun(20, func() {
+					kernelSink ^= tab.kernelUpdate(kid, tab.initReg, data)
+				})
+				if allocs > 0 {
+					t.Errorf("%s/%s: %.1f allocs per %d-byte checksum, want 0", p.Name, kn, allocs, n)
+				}
 			}
 		}
 	}
@@ -250,15 +219,16 @@ func TestKernelZeroAlloc(t *testing.T) {
 // Run under -race this doubles as the kernel data-race gate.
 func TestKernelConcurrent(t *testing.T) {
 	data := pinnedBuf()
-	for _, p := range sparseParams() {
+	for _, p := range stdlibParams() {
 		tab := New(p)
-		for _, kid := range []kernelID{kernelChorba, kernelNguyen} {
-			want := tab.finalizeReg(tab.updateScalar(tab.initReg(), data))
+		for _, kn := range tab.Kernels() {
+			kid, _ := kernelByName(kn)
+			want := tab.finalizeReg(tab.updateScalar(tab.initReg, data))
 			done := make(chan error, 8)
 			for g := 0; g < 8; g++ {
 				go func() {
 					for i := 0; i < 25; i++ {
-						if got := tab.finalizeReg(tab.kernelUpdate(kid, tab.initReg(), data)); got != want {
+						if got := tab.finalizeReg(tab.kernelUpdate(kid, tab.initReg, data)); got != want {
 							done <- fmt.Errorf("%s/%s: concurrent checksum %#x != %#x", p.Name, kernelNames[kid], got, want)
 							return
 						}
@@ -275,46 +245,27 @@ func TestKernelConcurrent(t *testing.T) {
 	}
 }
 
-// TestNguyenRingReturnsZeroed pins the pool invariant the ring kernel
-// depends on: every Put returns an all-zero ring, including after
-// inputs whose word count wraps the ring several times.
-func TestNguyenRingReturnsZeroed(t *testing.T) {
-	for _, p := range sparseParams() {
-		tab := New(p)
-		for _, n := range []int{tab.sp.bulkMin, tab.sp.bulkMin + 8191, 64 << 10} {
-			tab.nguyen(tab.initReg(), pinnedBuf()[:n])
-			rp := tab.sp.ringPool.Get().(*[]uint64)
-			for i, w := range *rp {
-				if w != 0 {
-					t.Fatalf("%s: ring slot %d = %#x after len-%d input, want 0", p.Name, i, w, n)
-				}
-			}
-			tab.sp.ringPool.Put(rp)
-		}
-	}
-}
-
 // FuzzKernels compares every kernel on arbitrary input against the
 // scalar engine, and the CRC-32/CRC-32C results against hash/crc32.
-// Seeds cover the empty input, the catalog check string, sub-word
-// tails, and inputs beyond the fold kernels' minimum reach so the word
-// stage, the byte stage and the scalar tail all execute.
+// Seeds cover the empty input, the catalog check string, a sub-word
+// tail, both sides of the stdlib IEEE floor, and bulk inputs long
+// enough for hash/crc32's folding loops.
 func FuzzKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("123456789"))
 	f.Add(pinnedBuf()[:7])
-	f.Add(pinnedBuf()[:301])
-	f.Add(pinnedBuf()[:2416]) // CRC-32 bulkMin
+	f.Add(pinnedBuf()[:63]) // one byte below the IEEE floor
+	f.Add(pinnedBuf()[:64])
 	f.Add(pinnedBuf()[:3001])
 	f.Add(pinnedBuf()[:5000])
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, p := range sparseParams() {
+		for _, p := range stdlibParams() {
 			tab := New(p)
-			want := tab.finalizeReg(tab.updateScalar(tab.initReg(), data))
+			want := tab.finalizeReg(tab.updateScalar(tab.initReg, data))
 			for _, kn := range tab.Kernels() {
 				k, _ := kernelByName(kn)
-				if got := tab.finalizeReg(tab.kernelUpdate(k, tab.initReg(), data)); got != want {
+				if got := tab.finalizeReg(tab.kernelUpdate(k, tab.initReg, data)); got != want {
 					t.Fatalf("%s/%s: len=%d: %#x != scalar %#x", p.Name, kn, len(data), got, want)
 				}
 			}
@@ -332,20 +283,20 @@ func FuzzKernels(f *testing.F) {
 	})
 }
 
-// BenchmarkKernels races the engines on bulk and MTU-sized input; the
+// BenchmarkKernels times the engines on cell, MTU and bulk input; the
 // BENCH_algo.json emitter is the committed record, this is the local
 // view.
 func BenchmarkKernels(b *testing.B) {
-	for _, p := range sparseParams() {
+	for _, p := range stdlibParams() {
 		tab := New(p)
-		for _, size := range []int{1500, 64 << 10} {
+		for _, size := range []int{48, 1500, 64 << 10} {
 			data := pinnedBuf()[:size]
 			for _, kn := range tab.Kernels() {
 				k, _ := kernelByName(kn)
 				b.Run(fmt.Sprintf("%s/%s/%d", p.Name, kn, size), func(b *testing.B) {
 					b.SetBytes(int64(size))
 					for i := 0; i < b.N; i++ {
-						raceSink ^= tab.kernelUpdate(k, tab.initReg(), data)
+						kernelSink ^= tab.kernelUpdate(k, tab.initReg, data)
 					}
 				})
 			}

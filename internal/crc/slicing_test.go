@@ -17,7 +17,7 @@ func TestSlicingMatchesScalarEverywhere(t *testing.T) {
 			for i := range data {
 				data[i] = byte(rng.Uint32())
 			}
-			reg := tab.initReg()
+			reg := tab.initReg
 			if rng.Uint32()&1 == 1 {
 				reg = tab.updateScalar(reg, []byte{0xA5, 0x5A, 0x00})
 			}
@@ -48,7 +48,7 @@ func BenchmarkSlicingVsScalar(b *testing.B) {
 	}
 	b.Run("slicing8", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
-		reg := tab.initReg()
+		reg := tab.initReg
 		for i := 0; i < b.N; i++ {
 			reg = tab.update(reg, data)
 		}
@@ -56,7 +56,7 @@ func BenchmarkSlicingVsScalar(b *testing.B) {
 	})
 	b.Run("scalar", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
-		reg := tab.initReg()
+		reg := tab.initReg
 		for i := 0; i < b.N; i++ {
 			reg = tab.updateScalar(reg, data)
 		}

@@ -21,75 +21,112 @@ import (
 // when the XOR of the corresponding residues is zero, so this table
 // turns spectrum questions into word operations.
 func XPowerResidues(g Poly, n int) []uint64 {
-	w := g.Degree()
-	if w < 1 || w > 64 {
-		panic(fmt.Sprintf("gf2poly: XPowerResidues needs degree 1..64, got %d", w))
-	}
-	// g minus its leading x^w term, as a word; residues have degree < w.
-	var low uint64
-	for i := 0; i < w && i < 64; i++ {
-		if g.Bit(i) {
-			low |= 1 << uint(i)
-		}
-	}
+	w, low := packedGenerator(g, "XPowerResidues")
 	out := make([]uint64, n)
 	r := uint64(1) // x^0 mod g, already reduced since w ≥ 1
 	for i := 0; i < n; i++ {
 		out[i] = r
-		if w == 64 {
-			hi := r>>63 != 0
-			r <<= 1
-			if hi {
-				r ^= low
-			}
-		} else {
-			r <<= 1
-			if r>>uint(w)&1 == 1 {
-				r ^= low | 1<<uint(w)
-			}
-		}
+		r = mulX(r, w, low)
 	}
 	return out
 }
 
-// XOrder is OrderOfX for generators of degree 1..64, running the same
-// packed-word recurrence as XPowerResidues — no allocation per step, so
-// horizons in the millions (the full period of a 24-bit generator) stay
-// cheap.  Returns 0 if x is not invertible mod g or the order exceeds
+// XOrder is OrderOfX for generators of degree 1..64 on packed words,
+// by baby-step/giant-step: about 2·√limit multiplications and a
+// √limit-entry table instead of up to limit steps, so horizons in the
+// millions (the full period of a 24-bit generator) cost a few thousand
+// steps.  Returns 0 if x is not invertible mod g or the order exceeds
 // limit.
 func XOrder(g Poly, limit uint64) uint64 {
-	w := g.Degree()
-	if w < 1 || w > 64 {
-		panic(fmt.Sprintf("gf2poly: XOrder needs degree 1..64, got %d", w))
+	w, low := packedGenerator(g, "XOrder")
+	if !g.Bit(0) || limit == 0 {
+		return 0
 	}
+	// Baby steps: x^j for 0 ≤ j < m, each residue keeping its largest j.
+	m := uint64(math.Ceil(math.Sqrt(float64(limit))))
+	baby := make(map[uint64]uint64, m)
+	r := uint64(1)
+	for j := uint64(0); j < m; j++ {
+		baby[r] = j
+		r = mulX(r, w, low)
+	}
+	// Giant steps: x^(i·m) = x^j means x^(i·m−j) = 1.  The largest such
+	// j gives the smallest exponent in ((i−1)·m, i·m], and every smaller
+	// one would have hit at an earlier i, so the first hit is the order.
+	// r = x^m now.
+	step, y := r, uint64(1)
+	for i := uint64(1); (i-1)*m < limit; i++ {
+		y = mulMod(y, step, w, low)
+		if j, ok := baby[y]; ok {
+			if e := i*m - j; e <= limit {
+				return e
+			}
+			return 0
+		}
+	}
+	return 0
+}
+
+// xOrderLinear is XOrder by direct iteration of x^e for e = 1..limit —
+// the test oracle for the baby-step/giant-step search.
+func xOrderLinear(g Poly, limit uint64) uint64 {
+	w, low := packedGenerator(g, "XOrder")
 	if !g.Bit(0) {
 		return 0
 	}
-	var low uint64
+	r := uint64(1)
+	for e := uint64(1); e <= limit; e++ {
+		if r = mulX(r, w, low); r == 1 {
+			return e
+		}
+	}
+	return 0
+}
+
+// packedGenerator returns g's degree and g minus its leading x^w term
+// as a word, panicking (in caller's name) outside degrees 1..64.
+func packedGenerator(g Poly, caller string) (w int, low uint64) {
+	w = g.Degree()
+	if w < 1 || w > 64 {
+		panic(fmt.Sprintf("gf2poly: %s needs degree 1..64, got %d", caller, w))
+	}
 	for i := 0; i < w && i < 64; i++ {
 		if g.Bit(i) {
 			low |= 1 << uint(i)
 		}
 	}
-	r := uint64(1)
-	for e := uint64(1); e <= limit; e++ {
-		if w == 64 {
-			hi := r>>63 != 0
-			r <<= 1
-			if hi {
-				r ^= low
-			}
-		} else {
-			r <<= 1
-			if r>>uint(w)&1 == 1 {
-				r ^= low | 1<<uint(w)
-			}
+	return w, low
+}
+
+// mulX returns r·x mod g for a packed residue r of the degree-w
+// generator whose low terms are low.
+func mulX(r uint64, w int, low uint64) uint64 {
+	if w == 64 {
+		hi := r>>63 != 0
+		r <<= 1
+		if hi {
+			r ^= low
 		}
-		if r == 1 {
-			return e
-		}
+		return r
 	}
-	return 0
+	r <<= 1
+	if r>>uint(w)&1 == 1 {
+		r ^= low | 1<<uint(w)
+	}
+	return r
+}
+
+// mulMod returns a·b mod g for packed residues, shift-and-add over b's
+// bits.
+func mulMod(a, b uint64, w int, low uint64) uint64 {
+	var r uint64
+	for ; b != 0; b >>= 1 {
+		if b&1 != 0 {
+			r ^= a
+		}
+		a = mulX(a, w, low)
+	}
+	return r
 }
 
 // UndetectedWeight2 returns A2: the number of weight-2 error polynomials

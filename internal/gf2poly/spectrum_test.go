@@ -135,6 +135,42 @@ func TestXOrderMatchesOrderOfX(t *testing.T) {
 	}
 }
 
+// TestXOrderMatchesLinearScan pins the baby-step/giant-step search
+// against the direct iteration it replaced: every census generator at
+// the census horizon 2^24 and at 2^10 (below the orders of the wide
+// generators), and random generators of degree 1–20 — even ones
+// included, whose x is not invertible — under random limits that fall
+// on both sides of their orders, plus the limits just below, at and
+// above an order where the search's interval arithmetic could slip.
+func TestXOrderMatchesLinearScan(t *testing.T) {
+	for _, g := range censusGenerators {
+		gen := FromCRC(g.poly, g.width)
+		for _, limit := range []uint64{1 << 10, 1 << 24} {
+			if got, want := XOrder(gen, limit), xOrderLinear(gen, limit); got != want {
+				t.Errorf("%s limit %d: XOrder=%d, linear scan=%d", g.name, limit, got, want)
+			}
+		}
+	}
+	rng := splitmix(0x5eed)
+	for trial := 0; trial < 3000; trial++ {
+		width := 1 + int(rng()%20)
+		poly := rng() & (1<<uint(width) - 1)
+		gen := FromCRC(poly, uint8(width))
+		limit := rng() % (2 << uint(width))
+		if got, want := XOrder(gen, limit), xOrderLinear(gen, limit); got != want {
+			t.Fatalf("w=%d poly=%#x limit %d: XOrder=%d, linear scan=%d", width, poly, limit, got, want)
+		}
+		if ord := xOrderLinear(gen, 2<<uint(width)); ord > 0 {
+			for _, limit := range []uint64{ord - 1, ord, ord + 1} {
+				if got, want := XOrder(gen, limit), xOrderLinear(gen, limit); got != want {
+					t.Fatalf("w=%d poly=%#x limit %d (order %d): XOrder=%d, linear scan=%d",
+						width, poly, limit, ord, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestOrderConsistency pins, for every census generator, the three
 // statements of the same fact against each other: OrderOfX,
 // Detects2BitErrors, and A2 (a 2-bit error at spacing d is undetected

@@ -270,11 +270,17 @@ type worker struct {
 	work      Stream
 	pdu       []byte
 	delivered []bool
-	fragArena []byte
-	fragRefs  []fragRef
-	frags     [][]byte
-	pcg       *rand.PCG
-	rng       *rand.Rand
+	// recvSums and recvSegSums hold each algorithm's sum over the
+	// current primary arrival and over its segment prefix.  score fills
+	// them wherever that placement's bytes differ from the sent ones,
+	// and hands them to judgeArrival, so each sum is computed once.
+	recvSums    []uint64
+	recvSegSums []uint64
+	fragArena   []byte
+	fragRefs    []fragRef
+	frags       [][]byte
+	pcg         *rand.PCG
+	rng         *rand.Rand
 
 	// Retransmission loop (cfg.Retrans).  A lane is one RetransTally a
 	// trial settles per packet: for each enabled placement, one lane per
@@ -324,6 +330,8 @@ func newWorker(cfg Config) *worker {
 		pcg:    pcg,
 		rng:    rand.New(pcg),
 	}
+	w.recvSums = make([]uint64, len(w.algos))
+	w.recvSegSums = make([]uint64, len(w.algos))
 	if cfg.Retrans {
 		w.laneStride = len(cfg.placements()) * (len(w.algos) + 1)
 	}
@@ -568,7 +576,8 @@ func (w *worker) score(ct *ChannelTally, origin int, cells []atm.Cell) {
 			pt.Corrupted++
 			base := origin * len(w.algos)
 			for a, alg := range w.algos {
-				if algo.Sum(alg, w.pdu) == w.sums[base+a] {
+				w.recvSums[a] = algo.Sum(alg, w.pdu)
+				if w.recvSums[a] == w.sums[base+a] {
 					pt.Algos[a].Undetected++
 				} else {
 					pt.Algos[a].Detected++
@@ -580,7 +589,7 @@ func (w *worker) score(ct *ChannelTally, origin int, cells []atm.Cell) {
 		w.scoreSegment(&ct.Placements[w.segIdx], origin)
 	}
 	if w.cfg.Retrans {
-		w.judgeArrival(ct, origin, w.pdu, 1)
+		w.judgeArrival(ct, origin, w.pdu, 1, w.recvSums, w.recvSegSums)
 	}
 	w.pipeline(ct, origin, cells, corrupted)
 }
@@ -614,7 +623,8 @@ func (w *worker) scoreSegment(pt *PlacementTally, origin int) {
 	pt.Corrupted++
 	base := origin * len(w.algos)
 	for a, alg := range w.algos {
-		if algo.Sum(alg, recv) == w.segSums[base+a] {
+		w.recvSegSums[a] = algo.Sum(alg, recv)
+		if w.recvSegSums[a] == w.segSums[base+a] {
 			pt.Algos[a].Undetected++
 		} else {
 			pt.Algos[a].Detected++
@@ -658,7 +668,12 @@ func diffBytes(recv, sent []byte) uint64 {
 // a lane whose check fails stays pending for the next retransmission.
 // The primary per-algorithm Detected/Undetected counters are not
 // touched: retransmission only ever adds to the Retrans/Oracle lanes.
-func (w *worker) judgeArrival(ct *ChannelTally, p int, recv []byte, tx uint64) {
+//
+// e2eSums and segSums, when non-nil, are this arrival's per-algorithm
+// sums over recv and over its segment prefix, valid wherever that
+// placement's bytes differ from the sent ones (the only case a sum is
+// read); nil means compute them here, as retry arrivals do.
+func (w *worker) judgeArrival(ct *ChannelTally, p int, recv []byte, tx uint64, e2eSums, segSums []uint64) {
 	nAlgos := len(w.algos)
 	pduLen := uint64(w.pduOff[p+1] - w.pduOff[p])
 	laneBase := p * w.laneStride
@@ -673,7 +688,7 @@ func (w *worker) judgeArrival(ct *ChannelTally, p int, recv []byte, tx uint64) {
 			if !w.retPending[lb+a] {
 				continue
 			}
-			if intact || algo.Sum(alg, recv) == w.sums[sumBase+a] {
+			if intact || sumOf(alg, a, recv, e2eSums) == w.sums[sumBase+a] {
 				if !diffDone {
 					diff = diffBytes(recv, sent)
 					diffDone = true
@@ -703,7 +718,7 @@ func (w *worker) judgeArrival(ct *ChannelTally, p int, recv []byte, tx uint64) {
 			if !w.retPending[lb+a] {
 				continue
 			}
-			if intact || algo.Sum(alg, segRecv) == w.segSums[sumBase+a] {
+			if intact || sumOf(alg, a, segRecv, segSums) == w.segSums[sumBase+a] {
 				if !diffDone {
 					diff = diffBytes(segRecv, sentSeg)
 					diffDone = true
@@ -717,6 +732,15 @@ func (w *worker) judgeArrival(ct *ChannelTally, p int, recv []byte, tx uint64) {
 			w.retPending[lb+nAlgos] = false
 		}
 	}
+}
+
+// sumOf returns alg's checksum of data: known[a] when the caller
+// already computed it, else a fresh algo.Sum.
+func sumOf(alg algo.Algorithm, a int, data []byte, known []uint64) uint64 {
+	if known != nil {
+		return known[a]
+	}
+	return algo.Sum(alg, data)
 }
 
 // lanesPending reports whether any retransmission lane of packet p is
@@ -763,7 +787,7 @@ func (w *worker) retryPacket(ct *ChannelTally, chanIdx, p int) {
 			if !w.retWork.Cells[i].Header.EndOfPacket() {
 				continue
 			}
-			w.judgeArrival(ct, p, w.retPdu, tx)
+			w.judgeArrival(ct, p, w.retPdu, tx, nil, nil)
 			w.retPdu = w.retPdu[:0]
 		}
 	}

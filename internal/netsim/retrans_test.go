@@ -4,7 +4,10 @@ import (
 	"context"
 	"math/rand/v2"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"realsum/internal/algo"
 )
 
 // deadChannel delivers nothing — the terminator case: every lane must
@@ -55,11 +58,14 @@ func TestRetransWorkersDeterministic(t *testing.T) {
 
 // TestRetransZeroAllocTrial guards the retry hot path: after a warm-up
 // file has sized the lane table and retry buffers, repeated trials with
-// the retransmission loop enabled must not allocate (ModeTCP).
+// the retransmission loop enabled must not allocate (ModeTCP) — on
+// every channel, and in particular on those whose corrupted primary
+// arrivals hand their received-side sums to judgeArrival.
 func TestRetransZeroAllocTrial(t *testing.T) {
 	w := newWorker(Config{Trials: 2, Seed: 9, Retrans: true})
 	data := varied(8192)
 	w.file(0, data) // warm-up: sizes every reusable buffer incl. retry lanes
+	reused := false
 	for c := range w.chans {
 		c := c
 		allocs := testing.AllocsPerRun(20, func() {
@@ -68,6 +74,83 @@ func TestRetransZeroAllocTrial(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("channel %s: %v allocs per retrans trial, want 0", w.tally.Channels[c].Name, allocs)
 		}
+		reused = reused || w.tally.Channels[c].Corrupted > 0
+	}
+	if !reused {
+		t.Error("no channel corrupted a delivery; the sum-reuse path went unexercised")
+	}
+}
+
+// oneFlipChannel flips one bit in the first payload byte of each
+// packet's first cell with probability 1/2 per transmission.  Every
+// transmission delivers exactly one candidate per packet, the flip lies
+// inside the TCP segment (so e2e and per-segment corruption coincide),
+// and CRC-32 detects every single-bit error — which makes the number of
+// corrupted arrivals each lane judges recoverable from its tally.
+type oneFlipChannel struct{}
+
+func (oneFlipChannel) Name() string { return "oneflip" }
+func (oneFlipChannel) Transmit(rng *rand.Rand, s *Stream) {
+	for i := range s.Cells {
+		if (i == 0 || s.Origin[i] != s.Origin[i-1]) && rng.IntN(2) == 0 {
+			s.Cells[i].Payload[0] ^= 0x01
+		}
+	}
+}
+
+// countingAlgo counts Sum calls on the algorithm it wraps.
+type countingAlgo struct {
+	algo.Algorithm
+	calls *atomic.Int64
+}
+
+func (c countingAlgo) Sum(data []byte) uint64 {
+	c.calls.Add(1)
+	return c.Algorithm.Sum(data)
+}
+
+// TestRetransSumsOncePerArrival pins the sum reuse between score and
+// judgeArrival: a tcp+retrans job computes exactly one Sum per
+// (algorithm, placement, corrupted arrival), plus the sent-side sums
+// (one per placement per PDU per file).  A primary arrival is scored
+// and judged from one set of sums; retries compute their own.
+func TestRetransSumsOncePerArrival(t *testing.T) {
+	var calls atomic.Int64
+	files := sliceWalker{files: [][]byte{varied(5000), zeroHeavy(3000)}}
+	cfg := Config{
+		Trials:     3,
+		Seed:       17,
+		Retrans:    true,
+		Workers:    1,
+		Channels:   []ChannelSpec{{Name: "oneflip", New: func() Channel { return oneFlipChannel{} }}},
+		Algorithms: []algo.Algorithm{countingAlgo{algo.MustLookup("crc32"), &calls}},
+	}
+	tally, err := Run(context.Background(), files, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &tally.Channels[0]
+	if len(c.Placements) != 2 {
+		t.Fatalf("%d placements scored, want e2e and per-segment", len(c.Placements))
+	}
+	pdus := int64(c.PacketsSent) / int64(cfg.Trials)
+	want := int64(len(c.Placements)) * pdus // sent side, once per file
+	for pi := range c.Placements {
+		p := &c.Placements[pi]
+		if p.Corrupted == 0 || p.Algos[0].Detected != p.Corrupted {
+			t.Fatalf("%s: %d corrupted, %d detected; want every corruption detected", p.Name, p.Corrupted, p.Algos[0].Detected)
+		}
+		// Each packet's lane judges every corrupted arrival until the
+		// first intact one, which it accepts.
+		r := p.Retrans[0]
+		arrivals := int64(r.Transmissions - r.Accepted)
+		if arrivals <= int64(p.Corrupted) {
+			t.Fatalf("%s: %d corrupted arrivals, %d primary; the retry path went unexercised", p.Name, arrivals, p.Corrupted)
+		}
+		want += arrivals
+	}
+	if got := calls.Load(); got != want {
+		t.Errorf("%d Sum calls, want %d: one per (algorithm, placement, corrupted arrival) plus the sent side", got, want)
 	}
 }
 

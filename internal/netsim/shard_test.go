@@ -53,28 +53,31 @@ func TestShardFlushMatchesRun(t *testing.T) {
 // TestShardZeroAllocServicePath guards the cksumd per-trial hot path:
 // after a warm-up file has sized the shard's reusable buffers, repeated
 // trials and batched flushes through the exported Shard surface must
-// not allocate (ModeTCP).
+// not allocate (ModeTCP), open-loop and with the retransmission loop —
+// whose primary arrivals reuse the scored sums — enabled.
 func TestShardZeroAllocServicePath(t *testing.T) {
-	cfg := Config{Trials: 2, Seed: 9}
-	sh := NewShard(cfg)
-	agg := NewTally(cfg)
-	data := varied(8192)
-	sh.File(0, data) // warm-up: sizes every reusable buffer
-	for c := range sh.w.chans {
-		c := c
+	for _, retrans := range []bool{false, true} {
+		cfg := Config{Trials: 2, Seed: 9, Retrans: retrans}
+		sh := NewShard(cfg)
+		agg := NewTally(cfg)
+		data := varied(8192)
+		sh.File(0, data) // warm-up: sizes every reusable buffer
+		for c := range sh.w.chans {
+			c := c
+			allocs := testing.AllocsPerRun(20, func() {
+				sh.w.trial(0, c, 0)
+			})
+			if allocs != 0 {
+				t.Errorf("retrans=%v channel %s: %v allocs per trial through the service shard, want 0",
+					retrans, sh.w.tally.Channels[c].Name, allocs)
+			}
+		}
 		allocs := testing.AllocsPerRun(20, func() {
-			sh.w.trial(0, c, 0)
+			sh.Flush(agg)
 		})
 		if allocs != 0 {
-			t.Errorf("channel %s: %v allocs per trial through the service shard, want 0",
-				sh.w.tally.Channels[c].Name, allocs)
+			t.Errorf("retrans=%v: %v allocs per batched flush, want 0", retrans, allocs)
 		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		sh.Flush(agg)
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocs per batched flush, want 0", allocs)
 	}
 }
 

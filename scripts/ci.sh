@@ -23,10 +23,15 @@ go test -count=1 -run Fuzz ./...
 
 echo "== CRC kernel differential smoke (-race) =="
 # Every kernel against the scalar oracle and hash/crc32, the
-# auto-selection contract (whatever New raced to must verify against
-# the oracle), and the registry's Sum/KernelControl surface, all under
-# the race detector — tables are shared across netsim workers.
-go test -race -count=1 -run 'Sparse|Kernel|SumZeroAlloc|SumHelper' ./internal/crc/ ./internal/algo/
+# fixed-order selection contract (stdlib for CRC-32/CRC-32C, slicing8
+# elsewhere, a failing engine skipped), and the registry's
+# Sum/KernelControl surface, all under the race detector — tables are
+# shared across netsim workers.
+go test -race -count=1 -cpu 1,2 -run 'Kernel|SumZeroAlloc|SumHelper' ./internal/crc/ ./internal/algo/
+
+echo "== go test -race (order of x oracle) =="
+# The baby-step/giant-step XOrder against the linear scan it replaced.
+go test -race -count=1 -cpu 1,2 -run 'XOrder' ./internal/gf2poly/
 
 # -cpu 1,2 runs every test at GOMAXPROCS 1 and 2, so no test can lean
 # on single-core scheduling.
