@@ -130,7 +130,7 @@ func AdlerComparison(cfg Config) []AdlerRow {
 			}
 			return out
 		},
-		func(shard []*dist.Sparse, _ int, data []byte) {
+		func(shard []*dist.Sparse, _ int, _ string, data []byte) {
 			for off := 0; off+dist.CellSize <= len(data); off += dist.CellSize {
 				cell := data[off : off+dist.CellSize]
 				for i, a := range algos {

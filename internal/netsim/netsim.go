@@ -905,7 +905,7 @@ func (w *worker) reassembleDatagrams(ct *ChannelTally) {
 func Run(ctx context.Context, w corpus.Walker, cfg Config) (*Tally, error) {
 	ws, err := sim.Collect(ctx, w, sim.CollectOptions{Workers: cfg.Workers, Progress: cfg.Progress},
 		func() *worker { return newWorker(cfg) },
-		func(sh *worker, idx int, data []byte) { sh.file(idx, data) },
+		func(sh *worker, idx int, _ string, data []byte) { sh.file(idx, data) },
 		func(dst, src *worker) { dst.tally.MustMerge(src.tally) },
 	)
 	return ws.tally, err

@@ -166,7 +166,7 @@ func (st *Stream) run(ctx context.Context, walker corpus.Walker) error {
 		Progress:   &st.progress,
 	},
 		func() *netsim.Shard { return netsim.NewShard(st.cfg) },
-		func(sh *netsim.Shard, idx int, data []byte) { sh.File(idx, data) },
+		func(sh *netsim.Shard, idx int, _ string, data []byte) { sh.File(idx, data) },
 		func(sh *netsim.Shard) {
 			st.mu.Lock()
 			err := sh.Flush(st.agg)
@@ -201,7 +201,7 @@ feed:
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				return errDeadline
 			}
-			if err := pool.Submit(ctx, idx, data); err != nil {
+			if err := pool.Submit(ctx, idx, path, data); err != nil {
 				return errShutdown
 			}
 			idx++

@@ -56,17 +56,14 @@ type CollectOptions struct {
 	Progress *Progress
 }
 
-func (o CollectOptions) workers() int {
-	return Options{Workers: o.Workers}.workers()
-}
-
-// Collect is the sharded streaming engine behind every distribution
-// pass: Figures 2–3 and Tables 4–6.  It is the one-shot form of Pool —
-// a walk feeds the bounded job queue, each worker accumulates into a
-// private shard holding no locks, and the shards merge into a fresh
-// result shard at the drain.
+// Collect is the sharded streaming engine behind every corpus pass: the
+// splice simulation (Run), Figures 2–3 and Tables 4–6, and netsim.  It
+// is the one-shot form of Pool — a walk feeds the bounded job queue,
+// each worker accumulates into a private shard holding no locks, and
+// the shards merge into a fresh result shard at the drain.
 //
-// Determinism contract: file receives the file's walk-order index, so
+// Determinism contract: file receives the file's walk-order index (and
+// its path, for attribution such as Run's worst-file heap), so
 // any per-file seeding depends only on corpus order, never on worker
 // scheduling; shards must hold only order-independent state (integer
 // counters, histograms, censuses) merged by a commutative merge.  Under
@@ -78,12 +75,12 @@ func (o CollectOptions) workers() int {
 // returned.
 func Collect[S any](ctx context.Context, w corpus.Walker, opt CollectOptions,
 	newShard func() S,
-	file func(shard S, idx int, data []byte),
+	file func(shard S, idx int, path string, data []byte),
 	merge func(dst, src S),
 ) (S, error) {
 	res := newShard()
 	var mu sync.Mutex
-	pool := NewPool(PoolOptions{Workers: opt.workers(), Progress: opt.Progress},
+	pool := NewPool(PoolOptions{Workers: opt.Workers, Progress: opt.Progress},
 		newShard,
 		file,
 		func(shard S) {
@@ -94,7 +91,7 @@ func Collect[S any](ctx context.Context, w corpus.Walker, opt CollectOptions,
 	)
 	idx := 0
 	err := w.Walk(func(path string, data []byte) error {
-		if serr := pool.Submit(ctx, idx, data); serr != nil {
+		if serr := pool.Submit(ctx, idx, path, data); serr != nil {
 			return serr
 		}
 		idx++
@@ -110,7 +107,7 @@ func Collect[S any](ctx context.Context, w corpus.Walker, opt CollectOptions,
 func CollectCellHistogram(ctx context.Context, w corpus.Walker, a algo.Algorithm, opt CollectOptions) (*dist.Histogram, error) {
 	return Collect(ctx, w, opt,
 		dist.NewHistogram,
-		func(h *dist.Histogram, _ int, data []byte) {
+		func(h *dist.Histogram, _ int, _ string, data []byte) {
 			for off := 0; off+dist.CellSize <= len(data); off += dist.CellSize {
 				h.Add(uint16(a.Sum(data[off : off+dist.CellSize])))
 			}
@@ -128,7 +125,7 @@ func CollectBlockHistogram(ctx context.Context, w corpus.Walker, k int, opt Coll
 	size := k * dist.CellSize
 	return Collect(ctx, w, opt,
 		dist.NewHistogram,
-		func(h *dist.Histogram, _ int, data []byte) {
+		func(h *dist.Histogram, _ int, _ string, data []byte) {
 			for off := 0; off+size <= len(data); off += size {
 				h.Add(inet.Sum(data[off : off+size]))
 			}
@@ -143,7 +140,7 @@ func CollectBlockHistogram(ctx context.Context, w corpus.Walker, k int, opt Coll
 func CollectGlobal(ctx context.Context, w corpus.Walker, k int, opt CollectOptions) (*dist.GlobalSampler, error) {
 	return Collect(ctx, w, opt,
 		func() *dist.GlobalSampler { return dist.NewGlobalSampler(k) },
-		func(g *dist.GlobalSampler, _ int, data []byte) { g.AddFile(data) },
+		func(g *dist.GlobalSampler, _ int, _ string, data []byte) { g.AddFile(data) },
 		func(dst, src *dist.GlobalSampler) { dst.Merge(src) },
 	)
 }
@@ -154,7 +151,7 @@ func CollectGlobal(ctx context.Context, w corpus.Walker, k int, opt CollectOptio
 func CollectLocal(ctx context.Context, w corpus.Walker, k, window int, opt CollectOptions) (dist.LocalStats, error) {
 	s, err := Collect(ctx, w, opt,
 		func() *dist.LocalSampler { return dist.NewLocalSampler(k, window) },
-		func(s *dist.LocalSampler, _ int, data []byte) { s.File(data) },
+		func(s *dist.LocalSampler, _ int, _ string, data []byte) { s.File(data) },
 		func(dst, src *dist.LocalSampler) { dst.MergeStats(src) },
 	)
 	if err != nil {
@@ -171,7 +168,7 @@ func CollectLocal(ctx context.Context, w corpus.Walker, k, window int, opt Colle
 func CollectLocalAnyCells(ctx context.Context, w corpus.Walker, k, window, perWindow int, opt CollectOptions) (dist.LocalStats, error) {
 	s, err := Collect(ctx, w, opt,
 		func() *dist.AnyCellsSampler { return dist.NewAnyCellsSampler(k, window, perWindow) },
-		func(s *dist.AnyCellsSampler, idx int, data []byte) {
+		func(s *dist.AnyCellsSampler, idx int, _ string, data []byte) {
 			s.File(data, 0xA11CE115^opt.Seed^uint64(idx))
 		},
 		func(dst, src *dist.AnyCellsSampler) { dst.MergeStats(src) },

@@ -2,18 +2,17 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"sync"
 )
 
 // PoolOptions configures a shard Pool.
 type PoolOptions struct {
 	// Workers is the number of shard-owning goroutines (default
-	// GOMAXPROCS).
-	Workers int
-	// Queue bounds the pending-job channel (default Workers).  A full
-	// queue blocks Submit — the pool's backpressure: a producer that
+	// GOMAXPROCS).  It also bounds the pending-job queue: a full queue
+	// blocks Submit — the pool's backpressure, so a producer that
 	// outpaces scoring stalls instead of buffering unboundedly.
-	Queue int
+	Workers int
 	// FlushEvery, when positive, invokes the flush callback on a shard
 	// after it has processed that many files since its last flush, so a
 	// long-running pool publishes partial results in batches.  Zero
@@ -23,19 +22,17 @@ type PoolOptions struct {
 	Progress *Progress
 }
 
-func (o PoolOptions) workers() int {
-	return Options{Workers: o.Workers}.workers()
-}
-
-func (o PoolOptions) queue() int {
-	if o.Queue > 0 {
-		return o.Queue
+// workers resolves a Workers option: non-positive means GOMAXPROCS.
+func workers(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return o.workers()
+	return n
 }
 
 type poolJob struct {
 	idx  int
+	path string
 	data []byte
 }
 
@@ -64,18 +61,19 @@ type Pool[S any] struct {
 }
 
 // NewPool starts the worker goroutines.  newShard builds one private
-// shard per worker; file processes one submitted file into a shard;
-// flush (optional) publishes a shard's accumulated state — it must
-// leave the shard empty-but-reusable (merge into an aggregate, then
-// reset) so batches never double-count.
+// shard per worker; file processes one submitted file (with the path it
+// was submitted under) into a shard; flush (optional) publishes a
+// shard's accumulated state — it must leave the shard
+// empty-but-reusable (merge into an aggregate, then reset) so batches
+// never double-count.
 func NewPool[S any](opt PoolOptions,
 	newShard func() S,
-	file func(shard S, idx int, data []byte),
+	file func(shard S, idx int, path string, data []byte),
 	flush func(shard S),
 ) *Pool[S] {
-	nw := opt.workers()
+	nw := workers(opt.Workers)
 	p := &Pool[S]{
-		jobs:   make(chan poolJob, opt.queue()),
+		jobs:   make(chan poolJob, nw),
 		shards: make([]S, nw),
 		flush:  flush,
 	}
@@ -86,7 +84,7 @@ func NewPool[S any](opt PoolOptions,
 			defer p.wg.Done()
 			since := 0
 			for j := range p.jobs {
-				file(shard, j.idx, j.data)
+				file(shard, j.idx, j.path, j.data)
 				opt.Progress.Observe(len(j.data))
 				since++
 				if flush != nil && opt.FlushEvery > 0 && since >= opt.FlushEvery {
@@ -101,14 +99,15 @@ func NewPool[S any](opt PoolOptions,
 
 // Submit queues one file for processing, blocking while the queue is
 // full (backpressure).  idx must be the caller's submission counter —
-// the per-file determinism handle.  Returns ctx.Err() if the context is
-// cancelled first; files already queued are still processed by Drain.
-func (p *Pool[S]) Submit(ctx context.Context, idx int, data []byte) error {
+// the per-file determinism handle; path is passed through to the file
+// callback.  Returns ctx.Err() if the context is cancelled first; files
+// already queued are still processed by Drain.
+func (p *Pool[S]) Submit(ctx context.Context, idx int, path string, data []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	select {
-	case p.jobs <- poolJob{idx: idx, data: data}:
+	case p.jobs <- poolJob{idx: idx, path: path, data: data}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

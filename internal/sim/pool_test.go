@@ -20,7 +20,7 @@ func TestPoolProcessesEverySubmission(t *testing.T) {
 	total := countShard{}
 	pool := NewPool(PoolOptions{Workers: 4},
 		func() *countShard { return &countShard{} },
-		func(s *countShard, idx int, data []byte) {
+		func(s *countShard, idx int, _ string, data []byte) {
 			s.files++
 			s.bytes += len(data)
 		},
@@ -34,7 +34,7 @@ func TestPoolProcessesEverySubmission(t *testing.T) {
 	)
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := pool.Submit(context.Background(), i, make([]byte, i)); err != nil {
+		if err := pool.Submit(context.Background(), i, "", make([]byte, i)); err != nil {
 			t.Fatalf("Submit(%d): %v", i, err)
 		}
 	}
@@ -54,14 +54,14 @@ func TestPoolBatchedFlush(t *testing.T) {
 	var flushed atomic.Int64
 	pool := NewPool(PoolOptions{Workers: 1, FlushEvery: 2},
 		func() *countShard { return &countShard{} },
-		func(s *countShard, idx int, data []byte) { s.files++ },
+		func(s *countShard, idx int, _ string, data []byte) { s.files++ },
 		func(s *countShard) {
 			flushed.Add(int64(s.files))
 			s.files = 0
 		},
 	)
 	for i := 0; i < 10; i++ {
-		if err := pool.Submit(context.Background(), i, nil); err != nil {
+		if err := pool.Submit(context.Background(), i, "", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,14 +79,14 @@ func TestPoolBatchedFlush(t *testing.T) {
 }
 
 // TestPoolBackpressure pins the bounded-queue contract: with one
-// blocked worker and Queue=1, the third Submit cannot complete until
-// the worker frees a slot.
+// blocked worker (so a one-slot queue), the third Submit cannot
+// complete until the worker frees a slot.
 func TestPoolBackpressure(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 16)
-	pool := NewPool(PoolOptions{Workers: 1, Queue: 1},
+	pool := NewPool(PoolOptions{Workers: 1},
 		func() *countShard { return &countShard{} },
-		func(s *countShard, idx int, data []byte) {
+		func(s *countShard, idx int, _ string, data []byte) {
 			started <- struct{}{}
 			<-gate
 		},
@@ -94,15 +94,15 @@ func TestPoolBackpressure(t *testing.T) {
 	)
 	ctx := context.Background()
 	// First job occupies the worker, second fills the queue.
-	if err := pool.Submit(ctx, 0, nil); err != nil {
+	if err := pool.Submit(ctx, 0, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	if err := pool.Submit(ctx, 1, nil); err != nil {
+	if err := pool.Submit(ctx, 1, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	third := make(chan error, 1)
-	go func() { third <- pool.Submit(ctx, 2, nil) }()
+	go func() { third <- pool.Submit(ctx, 2, "", nil) }()
 	select {
 	case err := <-third:
 		t.Fatalf("third Submit completed (%v) despite a full queue", err)
@@ -128,9 +128,9 @@ func TestPoolSubmitCancel(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 16)
 	var done atomic.Int64
-	pool := NewPool(PoolOptions{Workers: 1, Queue: 1},
+	pool := NewPool(PoolOptions{Workers: 1},
 		func() *countShard { return &countShard{} },
-		func(s *countShard, idx int, data []byte) {
+		func(s *countShard, idx int, _ string, data []byte) {
 			started <- struct{}{}
 			<-gate
 			done.Add(1)
@@ -138,15 +138,15 @@ func TestPoolSubmitCancel(t *testing.T) {
 		nil,
 	)
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := pool.Submit(ctx, 0, nil); err != nil {
+	if err := pool.Submit(ctx, 0, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	if err := pool.Submit(ctx, 1, nil); err != nil {
+	if err := pool.Submit(ctx, 1, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	blocked := make(chan error, 1)
-	go func() { blocked <- pool.Submit(ctx, 2, nil) }()
+	go func() { blocked <- pool.Submit(ctx, 2, "", nil) }()
 	cancel()
 	if err := <-blocked; err != context.Canceled {
 		t.Fatalf("cancelled Submit returned %v, want context.Canceled", err)

@@ -8,8 +8,6 @@ package sim
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"realsum/internal/corpus"
 	"realsum/internal/splice"
@@ -57,13 +55,6 @@ func (o Options) segmentSize() int {
 	return o.SegmentSize
 }
 
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
-}
-
 // Result aggregates one system's simulation.
 type Result struct {
 	System  string
@@ -77,78 +68,63 @@ type Result struct {
 }
 
 // Run simulates the transfer of every file that w yields and inspects
-// every splice of adjacent segments.  Files are processed in parallel;
-// the result is deterministic because per-file state is independent and
-// aggregation is commutative.
+// every splice of adjacent segments.  It is one Collect pass whose
+// shard is a splice worker: each holds a private Result, a bounded
+// top-K heap (TrackWorst entries) and reusable simulation state, so
+// the result is deterministic — per-file state is independent and the
+// merge is commutative.
 //
-// Aggregation is sharded: each worker accumulates into a private
-// Result and a bounded top-K heap (TrackWorst entries), holding no lock
-// on the per-file path; the shards merge once after the walk drains.
+// Compression runs on the walk goroutine, before the file reaches a
+// worker, so Progress counts the compressed bytes the workers see.
 // ctx cancels the run between files; the partial result and ctx.Err()
 // are returned.
 func Run(ctx context.Context, w corpus.Walker, name string, opt Options) (Result, error) {
-	nw := opt.workers()
-	type job struct {
-		path string
-		data []byte
+	if opt.Compress {
+		w = compressWalker{w}
 	}
-	jobs := make(chan job, nw)
-	shards := make([]Result, nw)
-	heaps := make([]*topK, nw)
-	var wg sync.WaitGroup
-
-	for i := 0; i < nw; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			r := newFileRunner(opt)
-			shard := &shards[id]
-			h := newTopK(opt.TrackWorst)
-			for j := range jobs {
-				counts, packets := r.run(j.data)
-				shard.Counts.Add(counts)
-				shard.Files++
-				shard.Packets += packets
-				shard.Bytes += uint64(len(j.data))
-				opt.Progress.Observe(len(j.data))
-				if opt.TrackWorst > 0 && counts.Remaining > 0 {
-					h.offer(FileMisses{
-						Path:      j.path,
-						Remaining: counts.Remaining,
-						Missed:    counts.MissedByChecksum,
-					})
-				}
+	sh, err := Collect(ctx, w, CollectOptions{Workers: opt.Workers, Progress: opt.Progress},
+		func() *spliceShard {
+			return &spliceShard{worst: newTopK(opt.TrackWorst), runner: newFileRunner(opt)}
+		},
+		func(s *spliceShard, _ int, path string, data []byte) {
+			counts, packets := s.runner.run(data)
+			s.res.Counts.Add(counts)
+			s.res.Files++
+			s.res.Packets += packets
+			s.res.Bytes += uint64(len(data))
+			if counts.Remaining > 0 {
+				s.worst.offer(FileMisses{Path: path, Remaining: counts.Remaining, Missed: counts.MissedByChecksum})
 			}
-			heaps[id] = h
-		}(i)
-	}
-
-	err := w.Walk(func(path string, data []byte) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if opt.Compress {
-			data = corpus.Compress(data)
-		}
-		jobs <- job{path: path, data: data}
-		return nil
-	})
-	close(jobs)
-	wg.Wait()
-
-	res := Result{System: name}
-	merged := newTopK(opt.TrackWorst)
-	for i := range shards {
-		res.Counts.Add(shards[i].Counts)
-		res.Files += shards[i].Files
-		res.Packets += shards[i].Packets
-		res.Bytes += shards[i].Bytes
-		merged.merge(heaps[i])
-	}
-	if opt.TrackWorst > 0 {
-		res.WorstFiles = merged.sorted()
-	}
+		},
+		func(dst, src *spliceShard) {
+			dst.res.Counts.Add(src.res.Counts)
+			dst.res.Files += src.res.Files
+			dst.res.Packets += src.res.Packets
+			dst.res.Bytes += src.res.Bytes
+			dst.worst.merge(src.worst)
+		},
+	)
+	res := sh.res
+	res.System = name
+	res.WorstFiles = sh.worst.sorted()
 	return res, err
+}
+
+// spliceShard is one Run worker's private state.
+type spliceShard struct {
+	res    Result
+	worst  *topK
+	runner *fileRunner
+}
+
+// compressWalker LZW-compresses every file its inner walker yields.
+type compressWalker struct{ corpus.Walker }
+
+// Walk implements corpus.Walker.
+func (c compressWalker) Walk(fn func(path string, data []byte) error) error {
+	return c.Walker.Walk(func(path string, data []byte) error {
+		return fn(path, corpus.Compress(data))
+	})
 }
 
 // fileRunner holds one worker's reusable simulation state: the splice

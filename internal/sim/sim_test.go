@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 
 	"realsum/internal/algo"
@@ -48,21 +50,87 @@ func TestRunCountsFilesAndPackets(t *testing.T) {
 	}
 }
 
+// tiedCorpus returns a GmonOut and English-text corpus in which every
+// file appears twice under different paths, so equal miss counts tie
+// and the worst-file report must fall back to its path tie-break.
+// GmonOut supplies the misses of a raw run; English text still has
+// remaining splices after compression, where GmonOut has none.
+func tiedCorpus() *corpus.FS {
+	fs := corpus.Profile{
+		Name: "tied",
+		Mix: []corpus.TypeWeight{
+			{Type: corpus.GmonOut, Weight: 1},
+			{Type: corpus.EnglishText, Weight: 1},
+		},
+		Files: 6, MinSize: 2048, MaxSize: 4096,
+		Seed: 2,
+	}.Build()
+	for _, s := range fs.Specs {
+		s.Path = "copy/" + s.Path
+		fs.Specs = append(fs.Specs, s)
+	}
+	return fs
+}
+
+// worstOracle ranks every file of w serially, with no heap, by the
+// report order (most Missed first, then Path ascending) and keeps the
+// best k — the reference for Run's sharded top-K.
+func worstOracle(t *testing.T, w corpus.Walker, opt Options, k int) []FileMisses {
+	t.Helper()
+	r := newFileRunner(opt)
+	var all []FileMisses
+	err := w.Walk(func(path string, data []byte) error {
+		if opt.Compress {
+			data = corpus.Compress(data)
+		}
+		if c, _ := r.run(data); c.Remaining > 0 {
+			all = append(all, FileMisses{Path: path, Remaining: c.Remaining, Missed: c.MissedByChecksum})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Missed != all[j].Missed {
+			return all[i].Missed > all[j].Missed
+		}
+		return all[i].Path < all[j].Path
+	})
+	return all[:min(k, len(all))]
+}
+
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	fs := tiny(2, corpus.GmonOut, 6, 2048)
-	opt := Options{CheckCRC: true}
-	opt.Workers = 1
-	a, err := Run(ctx(), fs, "x", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 8
-	b, err := Run(ctx(), fs, "x", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Counts != b.Counts || a.Packets != b.Packets {
-		t.Errorf("worker count changed results:\n1: %+v\n8: %+v", a.Counts, b.Counts)
+	fs := tiedCorpus()
+	for _, compress := range []bool{false, true} {
+		opt := Options{CheckCRC: true, Compress: compress, TrackWorst: 5}
+		want := worstOracle(t, fs, opt, opt.TrackWorst)
+		tied := false
+		for i := 1; i < len(want); i++ {
+			tied = tied || want[i].Missed == want[i-1].Missed
+		}
+		if !tied {
+			t.Fatalf("compress=%v: no Missed tie among the worst files %+v", compress, want)
+		}
+		var base Result
+		for _, w := range []int{1, 2, 8} {
+			opt.Workers = w
+			res, err := Run(ctx(), fs, "x", opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.WorstFiles, want) {
+				t.Errorf("compress=%v workers=%d: WorstFiles = %+v, want %+v", compress, w, res.WorstFiles, want)
+			}
+			if w == 1 {
+				base = res
+			} else if !reflect.DeepEqual(res, base) {
+				t.Errorf("compress=%v: workers=%d changed the result:\n1: %+v\n%d: %+v", compress, w, base, w, res)
+			}
+		}
+		if base.Files != uint64(len(fs.Specs)) || base.Packets == 0 || base.Bytes == 0 || base.Total == 0 {
+			t.Errorf("compress=%v: empty result %+v", compress, base)
+		}
 	}
 }
 
@@ -128,6 +196,17 @@ func TestProgressCounters(t *testing.T) {
 	}
 	if prog.Files() != 10 {
 		t.Errorf("cumulative files = %d, want 10", prog.Files())
+	}
+
+	// A compressed run counts the compressed bytes the workers saw.
+	var cprog Progress
+	res, err := Run(ctx(), tiny(24, corpus.CSource, 5, 4096), "x", Options{Compress: true, Progress: &cprog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cprog.Bytes() != res.Bytes || res.Bytes == 0 || res.Bytes >= 5*4096 {
+		t.Errorf("compressed run: progress %d bytes, Result.Bytes %d; want equal and below %d",
+			cprog.Bytes(), res.Bytes, 5*4096)
 	}
 }
 

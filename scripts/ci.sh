@@ -46,9 +46,25 @@ go test -race -cpu 1,2 -run 'Convolve|CollectBlockHistogram' ./internal/dist/ ./
 echo "== go test -race (workers determinism) =="
 go test -race -cpu 1,2 -run 'Deterministic' ./internal/sim/... ./internal/experiments/... ./internal/netsim/...
 
-echo "== netsim smoke (workers 1 vs 4 determinism under -race, full battery incl. correlated loss + dup) =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+
+echo "== splice reports across worker counts (workers 1 vs 8, -race) =="
+# sim.Run is a sim.Collect pass: the splice tables and the worst-file
+# report (top-K heap merged across shards, path tie-break) must be
+# byte-identical at any worker count.
+splice_tables=table1,table2,table3,table7,table8,table9,table10,locality
+go run -race ./cmd/paper -run "$splice_tables" -scale 0.02 -workers 1 > "$tmp/splice.w1"
+go run -race ./cmd/paper -run "$splice_tables" -scale 0.02 -workers 8 > "$tmp/splice.w8"
+diff "$tmp/splice.w1" "$tmp/splice.w8" || { echo "splice tables differ across worker counts"; exit 1; }
+test -s "$tmp/splice.w1" || { echo "empty splice report"; exit 1; }
+go run -race ./cmd/splicesim -profile smeg.stanford.edu:/u1 -scale 0.2 -worst 10 -workers 1 > "$tmp/splicesim.w1"
+go run -race ./cmd/splicesim -profile smeg.stanford.edu:/u1 -scale 0.2 -worst 10 -workers 8 > "$tmp/splicesim.w8"
+diff "$tmp/splicesim.w1" "$tmp/splicesim.w8" || { echo "splicesim -worst output differs across worker counts"; exit 1; }
+grep -q "worst files by checksum misses" "$tmp/splicesim.w1" \
+    || { echo "splicesim report missing the worst-file list"; exit 1; }
+
+echo "== netsim smoke (workers 1 vs 4 determinism under -race, full battery incl. correlated loss + dup) =="
 go run -race ./cmd/paper -netsim -scale 0.02 -workers 1 > "$tmp/netsim.w1"
 go run -race ./cmd/paper -netsim -scale 0.02 -workers 4 > "$tmp/netsim.w4"
 diff "$tmp/netsim.w1" "$tmp/netsim.w4" || { echo "netsim output differs across worker counts"; exit 1; }
