@@ -12,6 +12,7 @@
 //	paper -benchdistjson BENCH_dist.json [-scale 0.05] [-benchiters 3]
 //	paper -benchnetsimjson BENCH_netsim.json [-scale 0.05] [-benchiters 3] [-placement e2e,segment]
 //	paper -benchalgojson BENCH_algo.json [-benchiters 3] [-kernel stdlib|slicing8|scalar|auto]
+//	paper ... [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // With no -run flag every experiment runs in paper order.  The -scale
 // flag multiplies the corpus sizes (1.0 ≈ a few MB per file system; the
@@ -65,6 +66,10 @@
 // of stdlib, slicing8, scalar that verifies against the scalar oracle)
 // — the reproducibility knob for comparing kernels on the same
 // hardware.
+//
+// -cpuprofile and -memprofile work with every mode: the first records a
+// CPU profile of the whole run, the second a heap profile taken when the
+// run ends, both in the runtime/pprof format `go tool pprof` reads.
 package main
 
 import (
@@ -84,7 +89,11 @@ import (
 	"realsum/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(paperMain()) }
+
+// paperMain runs the command and returns its exit status, so deferred
+// work such as writing the profiles runs before the process exits.
+func paperMain() (code int) {
 	scale := flag.Float64("scale", 1.0, "corpus scale factor")
 	run := flag.String("run", "", "comma-separated experiments (default: all): table1..table10, figure2, figure3, effectivebits, ablations, pathological")
 	list := flag.Bool("list", false, "list experiment names and exit")
@@ -101,7 +110,21 @@ func main() {
 	benchalgojson := flag.String("benchalgojson", "", "time every registry algorithm's one-shot checksum at cell/MTU/bulk sizes and write ns/op, GB/s, allocs/op and kernel-speedup records to this file (e.g. BENCH_algo.json), then exit")
 	kernel := flag.String("kernel", "", "force the CRC bulk kernel for the whole run (one of "+strings.Join(crc.KernelNames(), ", ")+", or auto; default: the first of stdlib, slicing8, scalar that verifies)")
 	benchIters := flag.Int("benchiters", 3, "iterations per -benchjson/-benchdistjson record")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
+	memprofile := flag.String("memprofile", "", "write a heap profile, taken after the run, to this file (inspect with go tool pprof)")
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+			code = 1
+		}
+	}()
 
 	if *kernel != "" {
 		// SetCRCKernel repoints (and validates against) the registry
@@ -109,7 +132,7 @@ func main() {
 		// choice to every table the experiments construct afterwards.
 		if err := algo.SetCRCKernel(*kernel); err != nil {
 			fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		os.Setenv(crc.KernelEnv, *kernel)
 	}
@@ -121,39 +144,39 @@ func main() {
 		if *benchjson != "" {
 			if err := runBenchJSON(ctx, *benchjson, *scale, *benchIters); err != nil {
 				fmt.Fprintf(os.Stderr, "paper: benchjson: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		if *benchdistjson != "" {
 			if err := runBenchDistJSON(ctx, *benchdistjson, *scale, *benchIters); err != nil {
 				fmt.Fprintf(os.Stderr, "paper: benchdistjson: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		if *benchnetsimjson != "" {
 			placements, err := scenario.ParsePlacements(*placement)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-				os.Exit(2)
+				return 2
 			}
 			if err := runBenchNetsimJSON(ctx, *benchnetsimjson, *scale, *seed, *benchIters, placements); err != nil {
 				fmt.Fprintf(os.Stderr, "paper: benchnetsimjson: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		if *benchalgojson != "" {
 			if err := runBenchAlgoJSON(*benchalgojson, *benchIters); err != nil {
 				fmt.Fprintf(os.Stderr, "paper: benchalgojson: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		if *benchcensusjson != "" {
 			if err := runBenchCensusJSON(ctx, *benchcensusjson, *scale, *seed); err != nil {
 				fmt.Fprintf(os.Stderr, "paper: benchcensusjson: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
 
 	if *censusOnly {
@@ -164,9 +187,9 @@ func main() {
 		}
 		if err := runCensus(ctx, *scale, *seed, *workers, prog); err != nil {
 			fmt.Fprintf(os.Stderr, "paper: census: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	names := []string{
@@ -177,7 +200,7 @@ func main() {
 	}
 	if *list {
 		fmt.Println(strings.Join(names, "\n"))
-		return
+		return 0
 	}
 
 	want := map[string]bool{}
@@ -252,6 +275,7 @@ func main() {
 	step("locality", func() string { return experiments.LocalityReport(experiments.Locality(cfg)) })
 	step("fragswap", func() string { return experiments.FragSwapReport(experiments.FragSwap(cfg)) })
 	step("netsim", func() string { return experiments.NetSimReport(experiments.NetSim(cfg)) })
+	return 0
 }
 
 // startProgress prints cumulative throughput to stderr every 2 seconds

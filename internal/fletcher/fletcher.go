@@ -101,6 +101,15 @@ func (m Mod) Append(p Pair, lenQ int, q Pair) Pair {
 	return Pair{A: m.add(ps.A, q.A), B: m.add(ps.B, q.B)}
 }
 
+// Cancel returns the pair q for which Append(p, lenQ, q) is (0, 0): the
+// sum a lenQ-byte continuation of fragment p must have for the whole to
+// verify.  q is in canonical residues, so a caller can compare it with
+// other reduced pairs by plain equality.
+func (m Mod) Cancel(p Pair, lenQ int) Pair {
+	ps := m.ShiftedBy(p, lenQ)
+	return Pair{A: m.neg(ps.A), B: m.neg(ps.B)}
+}
+
 // Combine folds standalone fragment pairs (in packet order, with their
 // lengths) into the pair of the whole packet.
 func Combine(m Mod, pairs []Pair, lens []int) Pair {

@@ -136,6 +136,29 @@ func TestAppendMatchesWhole(t *testing.T) {
 	}
 }
 
+func TestCancelCompletesToZero(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	for _, m := range []Mod{Mod255, Mod256} {
+		for trial := 0; trial < 200; trial++ {
+			head := randBytes(rng, rng.IntN(200))
+			tail := randBytes(rng, rng.IntN(200))
+			p, q := m.Sum(head), m.Sum(tail)
+			want := m.Cancel(p, len(tail))
+			if want.A >= uint16(m) || want.B >= uint16(m) {
+				t.Fatalf("mod %d: Cancel %+v not in canonical residues", m, want)
+			}
+			if got := m.Append(p, len(tail), want); got != (Pair{}) {
+				t.Fatalf("mod %d: Append(p, %d, Cancel) = %+v, want zero", m, len(tail), got)
+			}
+			// A continuation verifies exactly when its pair is the cancel.
+			whole := append(append([]byte(nil), head...), tail...)
+			if m.Verify(whole) != (q == want) {
+				t.Fatalf("mod %d: Verify = %v but tail pair %+v vs cancel %+v", m, m.Verify(whole), q, want)
+			}
+		}
+	}
+}
+
 func TestCombineCells(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	for _, m := range []Mod{Mod255, Mod256} {

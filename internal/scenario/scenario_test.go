@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -9,13 +11,28 @@ import (
 	"realsum/internal/netsim"
 )
 
-// TestAlgorithmsGating runs first (Go test order is source order): a
-// census-gated name must pass Validate without touching the registry —
-// registration happens only when a Config is actually built — so merely
-// parsing a profile can never widen the default battery.  It must also
-// be in this file above TestLoadGolden, whose census-battery golden
-// builds a Config and registers the slate for the rest of the binary.
+// gatingChildEnv marks the fresh test process TestAlgorithmsGating
+// re-executes itself in.
+const gatingChildEnv = "REALSUM_SCENARIO_GATING_CHILD"
+
+// TestAlgorithmsGating checks that a census-gated name passes Validate
+// without touching the registry — registration happens only when a
+// Config is actually built — so merely parsing a profile can never
+// widen the default battery.  The census slate registry is
+// process-global and other tests (TestLoadGolden's census golden)
+// register it for the rest of the binary, so the assertions run in a
+// fresh process of this test binary, whatever -count, -cpu or test
+// order the parent run uses.
 func TestAlgorithmsGating(t *testing.T) {
+	if os.Getenv(gatingChildEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestAlgorithmsGating$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), gatingChildEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "--- PASS: TestAlgorithmsGating") {
+			t.Fatalf("fresh-process run: %v\n%s", err, out)
+		}
+		return
+	}
 	sc := Scenario{Profile: "smeg.stanford.edu:/u1", Algorithms: []string{"crc24a", "crc32"}}
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("Validate rejected a census candidate: %v", err)

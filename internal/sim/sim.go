@@ -8,7 +8,9 @@ package sim
 
 import (
 	"context"
+	"fmt"
 
+	"realsum/internal/atm"
 	"realsum/internal/corpus"
 	"realsum/internal/splice"
 	"realsum/internal/tcpip"
@@ -79,6 +81,11 @@ type Result struct {
 // ctx cancels the run between files; the partial result and ctx.Err()
 // are returned.
 func Run(ctx context.Context, w corpus.Walker, name string, opt Options) (Result, error) {
+	seg := opt.segmentSize()
+	if n := atm.CellCount(opt.Build.PacketLen(seg)); n > splice.MaxPacketCells {
+		return Result{}, fmt.Errorf("sim: %d-byte segments make %d-cell packets; splice enumeration takes at most %d",
+			seg, n, splice.MaxPacketCells)
+	}
 	if opt.Compress {
 		w = compressWalker{w}
 	}

@@ -50,6 +50,13 @@ func TestRunCountsFilesAndPackets(t *testing.T) {
 	}
 }
 
+func TestRunRejectsUnenumerableSegments(t *testing.T) {
+	fs := tiny(1, corpus.UniformRandom, 1, 8192)
+	if _, err := Run(ctx(), fs, fs.Name, Options{SegmentSize: 4096}); err == nil {
+		t.Fatal("Run accepted 4096-byte segments (87-cell packets)")
+	}
+}
+
 // tiedCorpus returns a GmonOut and English-text corpus in which every
 // file appears twice under different paths, so equal miss counts tie
 // and the worst-file report must fall back to its path tie-break.

@@ -1,6 +1,7 @@
 package splice
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -69,6 +70,52 @@ func TestDifferentialFullMatrix(t *testing.T) {
 			if gotNo != wantNo {
 				t.Errorf("cfg[%d] %+v (no CRC) kind %d:\n got %+v\nwant %+v", ci, cfg.Opts, kind, gotNo, wantNo)
 			}
+		}
+	}
+}
+
+// TestDifferentialSevenCell runs the reference enumerator at the only
+// geometry the tables use: 256-byte payloads, so both packets segment
+// into 7 cells and each pair has 923 candidate splices.  It covers the
+// full options matrix and every payload kind with the CRC on and off,
+// plus a runt at either end of a pair, on one reused enumerator.  Every
+// pair also goes through VisitPair, whose per-splice classes must tally
+// to the Counts it returns.
+func TestDifferentialSevenCell(t *testing.T) {
+	rng := rand.New(rand.NewPCG(256, 7))
+	e := NewEnumerator()
+	check := func(what string, p1, p2 []byte, cfg Config) {
+		t.Helper()
+		want := refEnumerate(p1, p2, cfg)
+		if got := e.Pair(p1, p2, cfg); got != want {
+			t.Errorf("%s %+v crc=%v:\n got %+v\nwant %+v", what, cfg.Opts, cfg.CheckCRC, got, want)
+		}
+		var visited Counts
+		got := e.VisitPair(p1, p2, cfg, false, func(s Splice) { tallySplice(t, &visited, s) })
+		visited.Pairs = got.Pairs
+		if got != want || visited != want {
+			t.Errorf("%s %+v crc=%v VisitPair:\n got %+v\ntally %+v\n want %+v",
+				what, cfg.Opts, cfg.CheckCRC, got, visited, want)
+		}
+	}
+	for _, cfg := range fullMatrixConfigs() {
+		for _, checkCRC := range []bool{true, false} {
+			cfg.CheckCRC = checkCRC
+			for kind := 0; kind < 5; kind++ {
+				flow := tcpip.NewLoopbackFlow(cfg.Opts)
+				p1 := flow.NextPacket(nil, makePayload(rng, 256, kind))
+				p2 := flow.NextPacket(nil, makePayload(rng, 256, kind))
+				check(fmt.Sprintf("kind %d", kind), p1, p2, cfg)
+			}
+			// A 5-byte payload makes a two-cell runt whose last cell holds
+			// only padding and the AAL5 trailer: as packet 2 it forces
+			// the materializing verifier, as packet 1 it offers one cell.
+			flow := tcpip.NewLoopbackFlow(cfg.Opts)
+			full := flow.NextPacket(nil, makePayload(rng, 256, 3))
+			runt := flow.NextPacket(nil, makePayload(rng, 5, 1))
+			next := flow.NextPacket(nil, makePayload(rng, 256, 3))
+			check("full→runt", full, runt, cfg)
+			check("runt→full", runt, next, cfg)
 		}
 	}
 }

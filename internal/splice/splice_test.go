@@ -2,6 +2,7 @@ package splice
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"testing"
 
@@ -388,6 +389,76 @@ func TestCRCMissesAreRare(t *testing.T) {
 	if c.MissedByBoth != 0 {
 		t.Errorf("MissedByBoth = %d", c.MissedByBoth)
 	}
+}
+
+func TestForgedCRCPassingSplice(t *testing.T) {
+	// Real data essentially never yields a corrupted splice the CRC-32
+	// accepts, so forge one: four bytes of packet 1's cell 1 are solved
+	// so that the splice of packet 1's cells 0–2 and packet 2's cells
+	// 3–6 carries packet 2's AAL5 CRC.  The CRC side of the enumerator is
+	// then checked on a positive match, not only on zero counts.
+	rng := rand.New(rand.NewPCG(32, 32))
+	cfg := Config{Opts: tcpip.BuildOptions{}, CheckCRC: true}
+	flow := tcpip.NewLoopbackFlow(cfg.Opts)
+	p1 := flow.NextPacket(nil, makePayload(rng, 256, 0))
+	p2 := flow.NextPacket(nil, makePayload(rng, 256, 0))
+	cells1, _ := atm.Segment(p1, 0, 32)
+	cells2, _ := atm.Segment(p2, 0, 32)
+	tr, _ := atm.CheckFraming(cells2)
+	var pdu []byte
+	for _, c := range cells1[:3] {
+		pdu = append(pdu, c.Payload[:]...)
+	}
+	for _, c := range cells2[3:] {
+		pdu = append(pdu, c.Payload[:]...)
+	}
+	const at = 60 // packet bytes 60..63 sit in cell 1, at slot 1
+	crcOf := func(x uint32) uint32 {
+		binary.BigEndian.PutUint32(pdu[at:], x)
+		return uint32(refCRC.Checksum(pdu[:len(pdu)-4]))
+	}
+	x := solveAffine(crcOf, tr.CRC)
+	if crcOf(x) != tr.CRC {
+		t.Fatal("no four-byte patch forges the CRC")
+	}
+	binary.BigEndian.PutUint32(p1[at:], x)
+
+	want := refEnumerate(p1, p2, cfg)
+	if want.MissedByCRC == 0 {
+		t.Fatalf("the reference counts no CRC-passing splice: %+v", want)
+	}
+	if got := EnumeratePair(p1, p2, cfg); got != want {
+		t.Errorf("forged pair:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// solveAffine returns an x with f(x) == want, for f affine over GF(2)
+// with an invertible linear part, by Gaussian elimination on the images
+// of the 32 unit vectors.
+func solveAffine(f func(uint32) uint32, want uint32) uint32 {
+	base := f(0)
+	var pivot [32]struct{ img, x uint32 } // indexed by the image's top bit
+	for b := 0; b < 32; b++ {
+		img, x := f(1<<b)^base, uint32(1)<<b
+		for i := 31; i >= 0 && img != 0; i-- {
+			if img>>i&1 == 0 {
+				continue
+			}
+			if pivot[i].img == 0 {
+				pivot[i].img, pivot[i].x = img, x
+				break
+			}
+			img, x = img^pivot[i].img, x^pivot[i].x
+		}
+	}
+	var x uint32
+	rest := want ^ base
+	for i := 31; i >= 0; i-- {
+		if rest>>i&1 == 1 {
+			rest, x = rest^pivot[i].img, x^pivot[i].x
+		}
+	}
+	return x
 }
 
 func TestCountsAdd(t *testing.T) {

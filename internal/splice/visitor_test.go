@@ -17,52 +17,62 @@ func TestVisitPairMatchesEnumerate(t *testing.T) {
 	want := EnumeratePair(p1, p2, cfg)
 
 	var visited Counts
-	visited.Pairs = 1
 	got := VisitPair(p1, p2, cfg, false, func(s Splice) {
-		visited.Total++
-		switch s.Class {
-		case ClassCaughtByHeader:
-			visited.CaughtByHeader++
-		case ClassIdentical:
-			visited.Identical++
-			if s.PassedChecksum {
-				visited.IdenticalPassedChecksum++
-			} else {
-				visited.IdenticalFailedChecksum++
-			}
-		case ClassDetected, ClassMissed:
-			visited.Remaining++
-			if s.PassedChecksum {
-				visited.MissedByChecksum++
-			}
-			if s.PassedCRC {
-				visited.MissedByCRC++
-			}
-			if s.PassedChecksum && s.PassedCRC {
-				visited.MissedByBoth++
-			}
-		}
-		if s.CellsFromP1+s.CellsFromP2 == 0 {
-			t.Error("empty provenance")
-		}
-		if s.CellsFromP1 != len(s.Selection)+1-s.CellsFromP2 && s.CellsFromP2 >= 1 {
-			// Selection excludes the pinned trailer cell, which belongs
-			// to packet 2.
-			t.Errorf("provenance inconsistent: P1=%d P2=%d sel=%d",
-				s.CellsFromP1, s.CellsFromP2, len(s.Selection))
-		}
+		tallySplice(t, &visited, s)
 	})
+	visited.Pairs = got.Pairs
 
 	if got != want {
 		t.Errorf("VisitPair counts:\n got %+v\nwant %+v", got, want)
 	}
-	// Cross-check the reconstruction from visitor events (length
-	// buckets aren't reconstructed here).
-	if visited.Total != want.Total || visited.CaughtByHeader != want.CaughtByHeader ||
-		visited.Identical != want.Identical || visited.Remaining != want.Remaining ||
-		visited.MissedByChecksum != want.MissedByChecksum ||
-		visited.MissedByCRC != want.MissedByCRC {
+	if visited != want {
 		t.Errorf("visited reconstruction:\n got %+v\nwant %+v", visited, want)
+	}
+}
+
+// tallySplice adds one visited splice to c the way the enumerator
+// counts it, so a visitor's tally must equal the Counts VisitPair
+// returns (Pairs excepted).  It also checks the splice's provenance:
+// Selection holds one pool index per non-trailer slot, in increasing
+// order, and at least one cell comes from packet 1.
+func tallySplice(t *testing.T, c *Counts, s Splice) {
+	t.Helper()
+	if len(s.Selection) != s.CellsFromP1+s.CellsFromP2-1 || s.CellsFromP1 < 1 {
+		t.Fatalf("provenance inconsistent: P1=%d P2=%d sel=%v", s.CellsFromP1, s.CellsFromP2, s.Selection)
+	}
+	for i := 1; i < len(s.Selection); i++ {
+		if s.Selection[i] <= s.Selection[i-1] {
+			t.Fatalf("selection not increasing: %v", s.Selection)
+		}
+	}
+	c.Total++
+	switch s.Class {
+	case ClassCaughtByHeader:
+		c.CaughtByHeader++
+	case ClassIdentical:
+		c.Identical++
+		if s.PassedChecksum {
+			c.IdenticalPassedChecksum++
+		} else {
+			c.IdenticalFailedChecksum++
+		}
+	case ClassDetected, ClassMissed:
+		if (s.Class == ClassMissed) != s.PassedChecksum {
+			t.Fatalf("class %v with PassedChecksum=%v", s.Class, s.PassedChecksum)
+		}
+		subLen := min(s.CellsFromP2, MaxCells-1)
+		c.Remaining++
+		c.RemainingByLen[subLen]++
+		if s.PassedChecksum {
+			c.MissedByChecksum++
+			c.MissedByLen[subLen]++
+		}
+		if s.PassedCRC {
+			c.MissedByCRC++
+			if s.PassedChecksum {
+				c.MissedByBoth++
+			}
+		}
 	}
 }
 

@@ -21,6 +21,11 @@ echo "== fuzz seed-corpus smoke =="
 # package, so the smoke uses -run across the tree.
 go test -count=1 -run Fuzz ./...
 
+echo "== splice enumerator fuzz (20 s) =="
+# The split-join enumerator against the materializing reference on
+# fuzzed payloads, sizes (runts included) and checksum configurations.
+go test -run XXX -fuzz FuzzEnumerateMatchesBruteForce -fuzztime 20s ./internal/splice/
+
 echo "== CRC kernel differential smoke (-race) =="
 # Every kernel against the scalar oracle and hash/crc32, the
 # fixed-order selection contract (stdlib for CRC-32/CRC-32C, slicing8
@@ -34,7 +39,9 @@ echo "== go test -race (order of x oracle) =="
 go test -race -count=1 -cpu 1,2 -run 'XOrder' ./internal/gf2poly/
 
 # -cpu 1,2 runs every test at GOMAXPROCS 1 and 2, so no test can lean
-# on single-core scheduling.
+# on single-core scheduling.  The splice package runs whole, so its
+# oracle tests (TestDifferentialSevenCell at the tables' 7-cell
+# geometry included) run under the race detector too.
 echo "== go test -race (sim, splice, netsim) =="
 go test -race -cpu 1,2 ./internal/sim/... ./internal/splice/... ./internal/netsim/...
 
