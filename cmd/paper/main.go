@@ -234,8 +234,6 @@ func paperMain() (code int) {
 	}
 
 	// Tables 1–3 and the effective-bits computation share one big run.
-	var t123 = func() []interface{} { return nil }
-	_ = t123
 	needT123 := want["table1"] || want["table2"] || want["table3"] || want["effectivebits"]
 	if needT123 {
 		start := time.Now()

@@ -2,6 +2,9 @@ package census
 
 import (
 	"context"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"realsum/internal/algo"
@@ -213,17 +216,30 @@ func TestCensusShardZeroAlloc(t *testing.T) {
 	}
 }
 
+// registerChildEnv marks the fresh test process TestRegisterGated
+// re-executes itself in.
+const registerChildEnv = "REALSUM_CENSUS_REGISTER_CHILD"
+
 // TestRegisterGated pins the registry gating: census-only names resolve
 // only after Register/EnsureFor, built-ins are never re-registered, and
 // EnsureFor ignores lists without census names (the property the pinned
-// default-battery reports rely on).
+// default-battery reports rely on).  The registry is process-global and
+// other tests in this package register the slate, so the assertions run
+// in a fresh process of this test binary, whatever -count, -cpu or test
+// order the parent run uses.
 func TestRegisterGated(t *testing.T) {
-	// Order matters: this test observes, then mutates, global registry
-	// state; Go runs tests in source order within a file, but keep the
-	// observation self-contained anyway.
+	if os.Getenv(registerChildEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRegisterGated$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), registerChildEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "--- PASS: TestRegisterGated") {
+			t.Fatalf("fresh-process run: %v\n%s", err, out)
+		}
+		return
+	}
 	EnsureFor([]string{"tcp", "crc32"}) // no census-only name: no-op
 	if _, ok := algo.Lookup("crc24a"); ok {
-		t.Skip("crc24a already registered by another test binary path")
+		t.Fatal("EnsureFor registered the census slate for a list without census names")
 	}
 	EnsureFor([]string{"crc24a"})
 	for _, c := range Slate() {

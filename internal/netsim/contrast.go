@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"realsum/internal/report"
@@ -41,15 +42,16 @@ func RawVsCompressedReport(raw, comp *Tally) string {
 		tb.Headers = append(tb.Headers, an+" raw", an+" lz")
 	}
 	tb.Headers = append(tb.Headers, "tcp@seg raw", "tcp@seg lz")
+	seg := PlaceSegment.String()
 
 	for _, name := range contrastChannels(raw, comp) {
-		rc, rok := raw.Channel(name)
-		cc, cok := comp.Channel(name)
-		row := []string{name, corruptCell(rc, rok), corruptCell(cc, cok)}
+		rs, cs := raw.contrastSide(name, ""), comp.contrastSide(name, "")
+		row := []string{name, corruptCell(rs, report.Count), corruptCell(cs, report.Count)}
 		for _, an := range contrastAlgos {
-			row = append(row, missCell(rc, rok, an), missCell(cc, cok, an))
+			row = append(row, algoCell(rs, an, rateCell), algoCell(cs, an, rateCell))
 		}
-		row = append(row, segMissCell(rc, rok), segMissCell(cc, cok))
+		row = append(row, algoCell(raw.contrastSide(name, seg), "tcp", rateCell),
+			algoCell(comp.contrastSide(name, seg), "tcp", rateCell))
 		tb.AddRow(row...)
 	}
 	b.WriteString(tb.Render())
@@ -73,15 +75,16 @@ func RawVsCompressedReport(raw, comp *Tally) string {
 // stable even when one run dropped a channel.
 func CompressLines(raw, comp *Tally) []string {
 	var out []string
+	seg := PlaceSegment.String()
 	for _, name := range contrastChannels(raw, comp) {
-		rc, rok := raw.Channel(name)
-		cc, cok := comp.Channel(name)
+		rs, cs := raw.contrastSide(name, ""), comp.contrastSide(name, "")
 		line := fmt.Sprintf("compress[%s/%s]: raw_corrupted=%s lz_corrupted=%s",
-			raw.Mode, name, countCell(rc, rok), countCell(cc, cok))
+			raw.Mode, name, corruptCell(rs, decimal), corruptCell(cs, decimal))
 		for _, an := range contrastAlgos {
-			line += fmt.Sprintf(" %s=%s/%s", an, undetectedCell(rc, rok, an), undetectedCell(cc, cok, an))
+			line += fmt.Sprintf(" %s=%s/%s", an, algoCell(rs, an, undetected), algoCell(cs, an, undetected))
 		}
-		line += fmt.Sprintf(" seg_tcp=%s/%s", segUndetectedCell(rc, rok), segUndetectedCell(cc, cok))
+		line += fmt.Sprintf(" seg_tcp=%s/%s", algoCell(raw.contrastSide(name, seg), "tcp", undetected),
+			algoCell(comp.contrastSide(name, seg), "tcp", undetected))
 		out = append(out, line)
 	}
 	return out
@@ -104,49 +107,34 @@ func contrastChannels(raw, comp *Tally) []string {
 	return names
 }
 
-func corruptCell(c *ChannelTally, ok bool) string {
+// contrastSide looks up the placement one side of a contrast cell
+// reads: the named placement of the named channel, or the channel's
+// scoring placement when placement is "".  nil means the side never ran
+// that channel or placement, which every cell renders as "-".
+func (t *Tally) contrastSide(channel, placement string) *PlacementTally {
+	c, ok := t.Channel(channel)
 	if !ok {
-		return "-"
+		return nil
 	}
-	p := c.scoring()
+	if placement == "" {
+		return c.scoring()
+	}
+	return c.Placement(placement)
+}
+
+// corruptCell renders a side's corrupted-delivery count, or "-".
+func corruptCell(p *PlacementTally, format func(uint64) string) string {
 	if p == nil {
 		return "-"
 	}
-	return report.Count(p.Corrupted)
+	return format(p.Corrupted)
 }
 
-func countCell(c *ChannelTally, ok bool) string {
-	if !ok {
-		return "-"
-	}
-	p := c.scoring()
-	if p == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%d", p.Corrupted)
-}
-
-// missCell renders an algorithm's miss rate under the channel's scoring
-// placement, or "-" when the channel is absent, the algorithm is not
-// registered, or no corrupted delivery was ever scored (the
-// zero-candidate case the rate would otherwise misreport as 0%).
-func missCell(c *ChannelTally, ok bool, algo string) string {
-	if !ok {
-		return "-"
-	}
-	return algoRate(c.scoring(), algo)
-}
-
-// segMissCell renders the TCP sum's miss rate on the per-segment span,
-// or "-" when that placement was not scored on this side.
-func segMissCell(c *ChannelTally, ok bool) string {
-	if !ok {
-		return "-"
-	}
-	return algoRate(c.Placement(PlaceSegment.String()), "tcp")
-}
-
-func algoRate(p *PlacementTally, algo string) string {
+// algoCell renders one algorithm's cell from a side's placement, or "-"
+// when the side is absent or does not score the algorithm.  rateCell
+// further renders "-" when no corrupted delivery was ever scored (the
+// zero-candidate case a rate would otherwise misreport as 0%).
+func algoCell(p *PlacementTally, algo string, format func(AlgoTally) string) string {
 	if p == nil {
 		return "-"
 	}
@@ -154,34 +142,9 @@ func algoRate(p *PlacementTally, algo string) string {
 	if !found {
 		return "-"
 	}
-	return rateCell(a)
+	return format(a)
 }
 
-// undetectedCell renders an algorithm's undetected count, or "-" under
-// the same absent-side conditions as missCell.
-func undetectedCell(c *ChannelTally, ok bool, algo string) string {
-	if !ok {
-		return "-"
-	}
-	return algoCount(c.scoring(), algo)
-}
+func decimal(n uint64) string { return strconv.FormatUint(n, 10) }
 
-// segUndetectedCell renders the TCP sum's per-segment undetected count,
-// or "-" when the placement was not scored.
-func segUndetectedCell(c *ChannelTally, ok bool) string {
-	if !ok {
-		return "-"
-	}
-	return algoCount(c.Placement(PlaceSegment.String()), "tcp")
-}
-
-func algoCount(p *PlacementTally, algo string) string {
-	if p == nil {
-		return "-"
-	}
-	a, found := p.Algo(algo)
-	if !found {
-		return "-"
-	}
-	return fmt.Sprintf("%d", a.Undetected)
-}
+func undetected(a AlgoTally) string { return decimal(a.Undetected) }

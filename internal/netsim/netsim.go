@@ -243,9 +243,10 @@ type worker struct {
 	tally *Tally
 	aal5  *crc.Table
 
-	// Placement scoring: indexes into each ChannelTally.Placements for
-	// the enabled placements (-1 when disabled).
-	e2eIdx, segIdx int
+	// places lists the enabled placements, index-aligned with each
+	// ChannelTally.Placements; every per-placement slice below is indexed
+	// the same way.
+	places []Placement
 
 	// Compression stage (cfg.Compress): one Reset-per-file compressor
 	// and its reused output buffer — the per-file cost, never per-trial.
@@ -260,27 +261,25 @@ type worker struct {
 	origin   []int32
 	dgArena  []byte // ModeUDPFrag: original unfragmented IP packets
 	dgOff    []int
-	fragDG   []int // PDU index -> datagram index
-	sums     []uint64
-	segSums  []uint64 // per-segment placement: Sum over sent segment bytes
-	sentCk   []uint16 // per-segment placement: sent TCP checksum field per packet
+	fragDG   []int      // PDU index -> datagram index
+	sent     [][]uint64 // sent[pi][k*nAlgos+a]: algorithm a's sum over PDU k's span at places[pi]
+	sentCk   []uint16   // per-segment placement: sent TCP checksum field per packet
 	pktBuf   []byte
 
 	// Per-trial scratch.
 	work      Stream
 	pdu       []byte
 	delivered []bool
-	// recvSums and recvSegSums hold each algorithm's sum over the
-	// current primary arrival and over its segment prefix.  score fills
-	// them wherever that placement's bytes differ from the sent ones,
-	// and hands them to judgeArrival, so each sum is computed once.
-	recvSums    []uint64
-	recvSegSums []uint64
-	fragArena   []byte
-	fragRefs    []fragRef
-	frags       [][]byte
-	pcg         *rand.PCG
-	rng         *rand.Rand
+	// recv[pi][a] is algorithm a's sum over the current primary arrival's
+	// span at places[pi].  scorePlacement fills it wherever that span
+	// differs from the sent one, and judgeArrival reads it, so each sum
+	// is computed once.
+	recv      [][]uint64
+	fragArena []byte
+	fragRefs  []fragRef
+	frags     [][]byte
+	pcg       *rand.PCG
+	rng       *rand.Rand
 
 	// Retransmission loop (cfg.Retrans).  A lane is one RetransTally a
 	// trial settles per packet: for each enabled placement, one lane per
@@ -304,15 +303,6 @@ func newWorker(cfg Config) *worker {
 	for i, s := range specs {
 		chans[i] = s.New()
 	}
-	e2eIdx, segIdx := -1, -1
-	for i, p := range cfg.placements() {
-		switch p {
-		case PlaceE2E:
-			e2eIdx = i
-		case PlaceSegment:
-			segIdx = i
-		}
-	}
 	pcg := rand.NewPCG(0, 0)
 	var comp *lz.Compressor
 	if cfg.Compress {
@@ -325,15 +315,17 @@ func newWorker(cfg Config) *worker {
 		chans:  chans,
 		tally:  NewTally(cfg),
 		aal5:   crc.New(crc.CRC32),
-		e2eIdx: e2eIdx,
-		segIdx: segIdx,
+		places: cfg.placements(),
 		pcg:    pcg,
 		rng:    rand.New(pcg),
 	}
-	w.recvSums = make([]uint64, len(w.algos))
-	w.recvSegSums = make([]uint64, len(w.algos))
+	w.sent = make([][]uint64, len(w.places))
+	w.recv = make([][]uint64, len(w.places))
+	for pi := range w.places {
+		w.recv[pi] = make([]uint64, len(w.algos))
+	}
 	if cfg.Retrans {
-		w.laneStride = len(cfg.placements()) * (len(w.algos) + 1)
+		w.laneStride = len(w.places) * (len(w.algos) + 1)
 	}
 	return w
 }
@@ -374,8 +366,9 @@ func (w *worker) reset() {
 	w.dgArena = w.dgArena[:0]
 	w.dgOff = append(w.dgOff[:0], 0)
 	w.fragDG = w.fragDG[:0]
-	w.sums = w.sums[:0]
-	w.segSums = w.segSums[:0]
+	for pi := range w.sent {
+		w.sent[pi] = w.sent[pi][:0]
+	}
 	w.sentCk = w.sentCk[:0]
 }
 
@@ -468,25 +461,39 @@ func (w *worker) buildUDP(data []byte) {
 	}
 }
 
-// computeSums precomputes every algorithm's checksum of every sent PDU
-// — the notional carried check values — once per file, so trials only
-// checksum the received side.  When the per-segment placement is
-// enabled it also precomputes each algorithm's sum over the sent
-// segment bytes (the PDU minus AAL5 padding and trailer) and the TCP
-// checksum field value each packet transmitted, the trailer-position
-// check material.
+// span returns the bytes placement pl covers for packet p: got from
+// the received candidate recv, sent from the sent PDU.  PlaceE2E covers
+// the whole AAL5 PDU; PlaceSegment covers the packet's first pktLen[p]
+// bytes, AAL5 padding and trailer excluded.  It is the only code that
+// knows a placement's bytes.
+func (w *worker) span(pl Placement, p int, recv []byte) (got, sent []byte) {
+	sent = w.pduArena[w.pduOff[p]:w.pduOff[p+1]]
+	if pl == PlaceSegment {
+		n := w.pktLen[p]
+		sent = sent[:n]
+		if len(recv) > n {
+			recv = recv[:n]
+		}
+	}
+	return recv, sent
+}
+
+// computeSums precomputes every algorithm's checksum of every sent PDU's
+// span under every enabled placement — the notional carried check
+// values — once per file, so trials only checksum the received side.
+// With the per-segment placement enabled it also records the TCP
+// checksum field each packet transmitted, the trailer-position check
+// material.
 func (w *worker) computeSums() {
 	for k := 0; k+1 < len(w.pduOff); k++ {
-		pdu := w.pduArena[w.pduOff[k]:w.pduOff[k+1]]
-		for _, a := range w.algos {
-			w.sums = append(w.sums, algo.Sum(a, pdu))
-		}
-		if w.segIdx >= 0 {
-			seg := pdu[:w.pktLen[k]]
+		for pi, pl := range w.places {
+			_, sent := w.span(pl, k, nil)
 			for _, a := range w.algos {
-				w.segSums = append(w.segSums, algo.Sum(a, seg))
+				w.sent[pi] = append(w.sent[pi], algo.Sum(a, sent))
 			}
-			w.sentCk = append(w.sentCk, tcpip.StoredTCPChecksum(seg))
+			if pl == PlaceSegment {
+				w.sentCk = append(w.sentCk, tcpip.StoredTCPChecksum(sent))
+			}
 		}
 	}
 }
@@ -567,70 +574,50 @@ func (w *worker) score(ct *ChannelTally, origin int, cells []atm.Cell) {
 		ct.Corrupted++
 		ct.ErrClass.note(w.pdu, sent)
 	}
-	if w.e2eIdx >= 0 {
-		pt := &ct.Placements[w.e2eIdx]
-		pt.Delivered++
-		if !corrupted {
-			pt.Intact++
-		} else {
-			pt.Corrupted++
-			base := origin * len(w.algos)
-			for a, alg := range w.algos {
-				w.recvSums[a] = algo.Sum(alg, w.pdu)
-				if w.recvSums[a] == w.sums[base+a] {
-					pt.Algos[a].Undetected++
-				} else {
-					pt.Algos[a].Detected++
-				}
-			}
-		}
-	}
-	if w.segIdx >= 0 {
-		w.scoreSegment(&ct.Placements[w.segIdx], origin)
+	for pi := range w.places {
+		w.scorePlacement(&ct.Placements[pi], pi, origin)
 	}
 	if w.cfg.Retrans {
-		w.judgeArrival(ct, origin, w.pdu, 1, w.recvSums, w.recvSegSums)
+		w.judgeArrival(ct, origin, w.pdu, 1, true)
 	}
 	w.pipeline(ct, origin, cells, corrupted)
 }
 
-// scoreSegment scores one delivered candidate at TCP-segment
-// granularity: the received bytes at the claimed segment's span (its
-// first PacketLen bytes — AAL5 padding and trailer excluded) against
-// the claimed segment's sent check values.  A miss is counted when the
-// received segment bytes collide with the sent checksum even though
-// the bytes differ.  A candidate whose damage lies entirely in padding
-// or trailer bytes is intact here while corrupted end-to-end — the
-// placement-blindness the contrast table quantifies.
+// scorePlacement scores the current candidate under places[pi]: its
+// received span against the claimed packet's sent span.  A miss is
+// counted when an algorithm's sum of the received span equals its sum
+// of the sent one even though the bytes differ.  A candidate whose
+// damage lies entirely in padding or trailer bytes is intact under
+// PlaceSegment while corrupted end-to-end — the placement-blindness the
+// contrast table quantifies.
 //
-// On each corrupted segment the TCP one's-complement sum is
-// additionally scored at both field positions via SegmentCheckValue:
+// Under PlaceSegment each corrupted segment also scores the TCP
+// one's-complement sum at both field positions via SegmentCheckValue:
 // HeaderPos compares the stored field inside the received bytes,
-// TrailerPos the claimed origin's transmitted field value, both
-// against the sum recomputed over the received bytes.
-func (w *worker) scoreSegment(pt *PlacementTally, origin int) {
+// TrailerPos the claimed origin's transmitted field value, both against
+// the sum recomputed over the received bytes.
+func (w *worker) scorePlacement(pt *PlacementTally, pi, origin int) {
+	pl := w.places[pi]
+	got, sent := w.span(pl, origin, w.pdu)
 	pt.Delivered++
-	n := w.pktLen[origin]
-	recv := w.pdu
-	if len(recv) > n {
-		recv = recv[:n]
-	}
-	sentSeg := w.pduArena[w.pduOff[origin] : w.pduOff[origin]+n]
-	if bytes.Equal(recv, sentSeg) {
+	if bytes.Equal(got, sent) {
 		pt.Intact++
 		return
 	}
 	pt.Corrupted++
-	base := origin * len(w.algos)
+	sentSums := w.sent[pi][origin*len(w.algos):]
 	for a, alg := range w.algos {
-		w.recvSegSums[a] = algo.Sum(alg, recv)
-		if w.recvSegSums[a] == w.segSums[base+a] {
+		w.recv[pi][a] = algo.Sum(alg, got)
+		if w.recv[pi][a] == sentSums[a] {
 			pt.Algos[a].Undetected++
 		} else {
 			pt.Algos[a].Detected++
 		}
 	}
-	stored, want, ok := tcpip.SegmentCheckValue(recv)
+	if pl != PlaceSegment {
+		return
+	}
+	stored, want, ok := tcpip.SegmentCheckValue(got)
 	if ok && onescomp.Congruent(stored, want) {
 		pt.HeaderPos.Undetected++
 	} else {
@@ -662,85 +649,52 @@ func diffBytes(recv, sent []byte) uint64 {
 }
 
 // judgeArrival lets every still-pending retransmission lane of packet p
-// judge one arriving candidate (recv = the reassembled candidate bytes
-// claiming p) delivered by transmission number tx.  A lane whose check
-// passes the arrival accepts it — corrupt bytes and all — and settles;
-// a lane whose check fails stays pending for the next retransmission.
-// The primary per-algorithm Detected/Undetected counters are not
-// touched: retransmission only ever adds to the Retrans/Oracle lanes.
+// judge one arriving candidate (arrival = the reassembled candidate
+// bytes claiming p) delivered by transmission number tx.  A lane whose
+// check passes the arrival accepts it — corrupt bytes and all — and
+// settles; a lane whose check fails stays pending for the next
+// retransmission.  The primary per-algorithm Detected/Undetected
+// counters are not touched: retransmission only ever adds to the
+// Retrans/Oracle lanes.
 //
-// e2eSums and segSums, when non-nil, are this arrival's per-algorithm
-// sums over recv and over its segment prefix, valid wherever that
-// placement's bytes differ from the sent ones (the only case a sum is
-// read); nil means compute them here, as retry arrivals do.
-func (w *worker) judgeArrival(ct *ChannelTally, p int, recv []byte, tx uint64, e2eSums, segSums []uint64) {
+// A primary arrival reads the sums scorePlacement left in recv, valid
+// wherever a placement's span differs from the sent one (the only case
+// a sum is read); a retry arrival computes its own.
+func (w *worker) judgeArrival(ct *ChannelTally, p int, arrival []byte, tx uint64, primary bool) {
 	nAlgos := len(w.algos)
 	pduLen := uint64(w.pduOff[p+1] - w.pduOff[p])
-	laneBase := p * w.laneStride
-	if w.e2eIdx >= 0 {
-		pt := &ct.Placements[w.e2eIdx]
-		lb := laneBase + w.e2eIdx*(nAlgos+1)
-		sent := w.pduArena[w.pduOff[p]:w.pduOff[p+1]]
-		intact := bytes.Equal(recv, sent)
+	for pi, pl := range w.places {
+		pt := &ct.Placements[pi]
+		lb := p*w.laneStride + pi*(nAlgos+1)
+		got, sent := w.span(pl, p, arrival)
+		intact := bytes.Equal(got, sent)
 		diff, diffDone := uint64(0), intact
-		sumBase := p * nAlgos
+		sentSums := w.sent[pi][p*nAlgos:]
 		for a, alg := range w.algos {
 			if !w.retPending[lb+a] {
 				continue
 			}
-			if intact || sumOf(alg, a, recv, e2eSums) == w.sums[sumBase+a] {
-				if !diffDone {
-					diff = diffBytes(recv, sent)
-					diffDone = true
+			if !intact {
+				sum := w.recv[pi][a]
+				if !primary {
+					sum = algo.Sum(alg, got)
 				}
-				pt.Retrans[a].accept(tx, pduLen, uint64(len(recv)), diff)
-				w.retPending[lb+a] = false
+				if sum != sentSums[a] {
+					continue
+				}
 			}
+			if !diffDone {
+				diff = diffBytes(got, sent)
+				diffDone = true
+			}
+			pt.Retrans[a].accept(tx, pduLen, uint64(len(got)), diff)
+			w.retPending[lb+a] = false
 		}
 		if w.retPending[lb+nAlgos] && intact {
-			pt.Oracle.accept(tx, pduLen, uint64(len(recv)), 0)
+			pt.Oracle.accept(tx, pduLen, uint64(len(got)), 0)
 			w.retPending[lb+nAlgos] = false
 		}
 	}
-	if w.segIdx >= 0 {
-		pt := &ct.Placements[w.segIdx]
-		lb := laneBase + w.segIdx*(nAlgos+1)
-		n := w.pktLen[p]
-		segRecv := recv
-		if len(segRecv) > n {
-			segRecv = segRecv[:n]
-		}
-		sentSeg := w.pduArena[w.pduOff[p] : w.pduOff[p]+n]
-		intact := bytes.Equal(segRecv, sentSeg)
-		diff, diffDone := uint64(0), intact
-		sumBase := p * nAlgos
-		for a, alg := range w.algos {
-			if !w.retPending[lb+a] {
-				continue
-			}
-			if intact || sumOf(alg, a, segRecv, segSums) == w.segSums[sumBase+a] {
-				if !diffDone {
-					diff = diffBytes(segRecv, sentSeg)
-					diffDone = true
-				}
-				pt.Retrans[a].accept(tx, pduLen, uint64(len(segRecv)), diff)
-				w.retPending[lb+a] = false
-			}
-		}
-		if w.retPending[lb+nAlgos] && intact {
-			pt.Oracle.accept(tx, pduLen, uint64(len(segRecv)), 0)
-			w.retPending[lb+nAlgos] = false
-		}
-	}
-}
-
-// sumOf returns alg's checksum of data: known[a] when the caller
-// already computed it, else a fresh algo.Sum.
-func sumOf(alg algo.Algorithm, a int, data []byte, known []uint64) uint64 {
-	if known != nil {
-		return known[a]
-	}
-	return algo.Sum(alg, data)
 }
 
 // lanesPending reports whether any retransmission lane of packet p is
@@ -787,7 +741,7 @@ func (w *worker) retryPacket(ct *ChannelTally, chanIdx, p int) {
 			if !w.retWork.Cells[i].Header.EndOfPacket() {
 				continue
 			}
-			w.judgeArrival(ct, p, w.retPdu, tx, nil, nil)
+			w.judgeArrival(ct, p, w.retPdu, tx, false)
 			w.retPdu = w.retPdu[:0]
 		}
 	}
@@ -796,21 +750,19 @@ func (w *worker) retryPacket(ct *ChannelTally, chanIdx, p int) {
 	nAlgos := len(w.algos)
 	pduLen := uint64(w.pduOff[p+1] - w.pduOff[p])
 	laneBase := p * w.laneStride
-	for pi := range ct.Placements {
-		if pi != w.e2eIdx && pi != w.segIdx {
-			continue
-		}
+	for pi := range w.places {
 		pt := &ct.Placements[pi]
-		lb := laneBase + pi*(nAlgos+1)
-		for a := 0; a < nAlgos; a++ {
-			if w.retPending[lb+a] {
-				pt.Retrans[a].exhaust(tx, pduLen)
-				w.retPending[lb+a] = false
+		lanes := w.retPending[laneBase+pi*(nAlgos+1) : laneBase+(pi+1)*(nAlgos+1)]
+		for l, pending := range lanes {
+			if !pending {
+				continue
 			}
-		}
-		if w.retPending[lb+nAlgos] {
-			pt.Oracle.exhaust(tx, pduLen)
-			w.retPending[lb+nAlgos] = false
+			r := &pt.Oracle
+			if l < nAlgos {
+				r = &pt.Retrans[l]
+			}
+			r.exhaust(tx, pduLen)
+			lanes[l] = false
 		}
 	}
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
@@ -41,6 +42,51 @@ func TestConfigPlacementsNormalization(t *testing.T) {
 			if got[i] != tc.want[i] {
 				t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 				break
+			}
+		}
+	}
+}
+
+// TestPlacementIndependence checks that enabling or dropping a
+// placement cannot perturb any other number: over the default channel
+// battery, with the retransmission loop off and on, every placement's
+// tally in a combined {e2e, segment} run equals the same placement run
+// alone, and the channel-level counters agree too.  The files cover
+// structured and zero-heavy payloads, a runt shorter than one cell and
+// an empty file.
+func TestPlacementIndependence(t *testing.T) {
+	files := sliceWalker{files: [][]byte{varied(5000), zeroHeavy(3000), varied(7), {}}}
+	for _, retrans := range []bool{false, true} {
+		run := func(pls ...Placement) *Tally {
+			tally, err := Run(context.Background(), files,
+				Config{Trials: 3, Seed: 23, Retrans: retrans, Placements: pls})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tally
+		}
+		both := run(PlaceE2E, PlaceSegment)
+		for _, pl := range AllPlacements() {
+			alone := run(pl)
+			var corrupted, retries uint64
+			for i := range both.Channels {
+				bc, ac := &both.Channels[i], &alone.Channels[i]
+				got, want := bc.Placement(pl.String()), &ac.Placements[0]
+				corrupted += got.Corrupted
+				for _, r := range got.Retrans {
+					retries += r.Transmissions - r.Accepted - r.Exhausted
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("retrans=%v %s/%s: combined run tallies\n%+v\nalone\n%+v", retrans, bc.Name, pl, *got, *want)
+				}
+				bOther, aOther := *bc, *ac
+				bOther.Placements, aOther.Placements = nil, nil
+				if !reflect.DeepEqual(bOther, aOther) {
+					t.Errorf("retrans=%v %s: channel counters differ with only %s enabled", retrans, bc.Name, pl)
+				}
+			}
+			if corrupted == 0 || retrans && retries == 0 {
+				t.Errorf("retrans=%v %s: %d corrupted, %d retries; the scoring paths went unexercised", retrans, pl, corrupted, retries)
 			}
 		}
 	}

@@ -221,6 +221,18 @@ func (p *PlacementTally) Algo(name string) (AlgoTally, bool) {
 	return AlgoTally{}, false
 }
 
+// lane returns the named algorithm's retransmission tally, zero when
+// the placement does not score it.  Callers check that Retrans is
+// index-aligned with Algos.
+func (p *PlacementTally) lane(name string) RetransTally {
+	for i, a := range p.Algos {
+		if a.Name == name {
+			return p.Retrans[i]
+		}
+	}
+	return RetransTally{}
+}
+
 // PipelineTally counts the structural receiver outcomes — the layered
 // checks a real AAL5/IP endpoint applies, run alongside the
 // per-algorithm scoring.
@@ -623,13 +635,10 @@ func (t *Tally) Shapes() []Shape {
 				if s.Weakest == "" || a.Undetected > s.WeakestUndetect {
 					s.Weakest, s.WeakestUndetect = a.Name, a.Undetected
 				}
-				switch a.Name {
-				case "crc32":
-					s.CRC32Undetected = a.Undetected
-				case "tcp":
-					s.TCPUndetected = a.Undetected
-				}
 			}
+			crc, _ := p.Algo("crc32")
+			tcp, _ := p.Algo("tcp")
+			s.CRC32Undetected, s.TCPUndetected = crc.Undetected, tcp.Undetected
 		}
 		out = append(out, s)
 	}
@@ -772,15 +781,7 @@ func (t *Tally) RetransLines() []string {
 		if p == nil || len(p.Retrans) != len(p.Algos) {
 			continue
 		}
-		var tcp, crc RetransTally
-		for a := range p.Algos {
-			switch p.Algos[a].Name {
-			case "tcp":
-				tcp = p.Retrans[a]
-			case "crc32":
-				crc = p.Retrans[a]
-			}
-		}
+		tcp, crc := p.lane("tcp"), p.lane("crc32")
 		out = append(out, fmt.Sprintf(
 			"retrans[%s/%s]: cap=%d pdus=%d tcp_tx=%d tcp_resid=%d crc32_tx=%d crc32_resid=%d oracle_tx=%d exhausted=%d",
 			t.label(), c.Name, t.MaxRetries, c.PacketsSent,
@@ -799,16 +800,8 @@ func (t *Tally) RetransLines() []string {
 // damage into the retransmissions themselves, so a matched average rate
 // that leaves miss rates close can still widen the residual gap.
 func (t *Tally) residualContrastReport() string {
-	if !t.Retrans {
-		return ""
-	}
-	var rows []*ChannelTally
-	for i := range t.Channels {
-		if strings.HasPrefix(t.Channels[i].Name, "drop") {
-			rows = append(rows, &t.Channels[i])
-		}
-	}
-	if len(rows) < 2 {
+	rows := t.dropChannels()
+	if !t.Retrans || rows == nil {
 		return ""
 	}
 	tb := report.Table{
@@ -822,17 +815,16 @@ func (t *Tally) residualContrastReport() string {
 			continue
 		}
 		for _, name := range []string{"tcp", "f255", "crc32"} {
-			for a := range p.Algos {
-				if p.Algos[a].Name != name {
-					continue
-				}
-				r := p.Retrans[a]
-				res, rok := r.ResidualPerGB()
-				mtx, mok := r.MeanTx()
-				ov, ook := r.OverheadVs(p.Oracle)
-				tb.AddRow(c.Name, name, rateCell(p.Algos[a]),
-					floatCell(res, rok, 1), floatCell(mtx, mok, 4), floatCell(ov, ook, 4))
+			a, ok := p.Algo(name)
+			if !ok {
+				continue
 			}
+			r := p.lane(name)
+			res, rok := r.ResidualPerGB()
+			mtx, mok := r.MeanTx()
+			ov, ook := r.OverheadVs(p.Oracle)
+			tb.AddRow(c.Name, name, rateCell(a),
+				floatCell(res, rok, 1), floatCell(mtx, mok, 4), floatCell(ov, ook, 4))
 		}
 	}
 	return tb.Render() + "\n"
@@ -876,13 +868,8 @@ func (t *Tally) PlacementLines() []string {
 // undetected counts of the bellwether algorithms.  Rendered only when
 // the tally holds at least two drop channels to contrast.
 func (t *Tally) lossContrastReport() string {
-	var rows []*ChannelTally
-	for i := range t.Channels {
-		if strings.HasPrefix(t.Channels[i].Name, "drop") {
-			rows = append(rows, &t.Channels[i])
-		}
-	}
-	if len(rows) < 2 {
+	rows := t.dropChannels()
+	if rows == nil {
 		return ""
 	}
 	tb := report.Table{
@@ -895,24 +882,35 @@ func (t *Tally) lossContrastReport() string {
 		if c.CellsSent > 0 {
 			loss = 1 - float64(c.CellsDelivered)/float64(c.CellsSent)
 		}
-		var tcpMiss, crcMiss uint64
+		var tcpMiss, crcMiss AlgoTally
 		if p := c.scoring(); p != nil {
-			for _, a := range p.Algos {
-				switch a.Name {
-				case "tcp":
-					tcpMiss = a.Undetected
-				case "crc32":
-					crcMiss = a.Undetected
-				}
-			}
+			tcpMiss, _ = p.Algo("tcp")
+			crcMiss, _ = p.Algo("crc32")
 		}
 		p := &c.Pipeline
 		tb.AddRow(c.Name, report.Percent(loss), report.Count(c.Lost), report.Count(c.Corrupted),
 			report.Count(p.Framing), report.Count(p.CRC), report.Count(p.Header),
 			report.Count(p.Checksum), report.Count(p.AcceptedCorrupt),
-			report.Count(tcpMiss), report.Count(crcMiss))
+			report.Count(tcpMiss.Undetected), report.Count(crcMiss.Undetected))
 	}
 	return tb.Render() + "\n"
+}
+
+// dropChannels lists the cell-loss channels — i.i.d. drop and the
+// correlated processes the battery runs at matched average rate — that
+// the loss and residual contrasts compare, or nil when fewer than two
+// are there to contrast.
+func (t *Tally) dropChannels() []*ChannelTally {
+	var rows []*ChannelTally
+	for i := range t.Channels {
+		if strings.HasPrefix(t.Channels[i].Name, "drop") {
+			rows = append(rows, &t.Channels[i])
+		}
+	}
+	if len(rows) < 2 {
+		return nil
+	}
+	return rows
 }
 
 // placementContrastReport renders the end-to-end vs per-segment

@@ -144,6 +144,20 @@ retrans[tcp/drop-burst]: cap=8 pdus=106 tcp_tx=109 tcp_resid=0 crc32_tx=109 crc3
 retrans[tcp/dup]: cap=8 pdus=106 tcp_tx=221 tcp_resid=0 crc32_tx=221 crc32_resid=0 oracle_tx=221 exhausted=1
 RETRANS
 
+echo "== netsim single-placement pins (internal/onescomp, -retrans, -race) =="
+# The same -retrans walk with one placement at a time.  Placement
+# scoring consumes no RNG and each placement reads only its own sums, so
+# a segment-only run must reproduce the pinned placement[...] lines and
+# an e2e-only run the pinned shape[...] lines.
+go run -race ./cmd/netsim -dir internal/onescomp -channels drop,drop-ge,drop-burst,dup -trials 2 -workers 2 -retrans -placement segment > "$tmp/netsim.seg"
+grep "^placement" "$tmp/netsim.seg" > "$tmp/netsim.seg.placements"
+diff "$tmp/netsim.dir.placements" "$tmp/netsim.seg.placements" \
+    || { echo "-placement segment changed the placement pin lines"; exit 1; }
+go run -race ./cmd/netsim -dir internal/onescomp -channels drop,drop-ge,drop-burst,dup -trials 2 -workers 2 -retrans -placement e2e > "$tmp/netsim.e2e"
+grep "^shape" "$tmp/netsim.e2e" > "$tmp/netsim.e2e.shapes"
+diff "$tmp/netsim.dir.shapes" "$tmp/netsim.e2e.shapes" \
+    || { echo "-placement e2e changed the shape pin lines"; exit 1; }
+
 echo "== netsim -compress pin (internal/onescomp, -race) =="
 # The same walk with the lz payload stage on: the compressed payloads
 # are roughly half the size (fewer cells per file, hence the lower
