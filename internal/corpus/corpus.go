@@ -21,6 +21,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // FileType identifies which population a synthetic file is drawn from.
@@ -126,16 +129,78 @@ type FS struct {
 	Specs []FileSpec
 }
 
-// Walk invokes fn for every file in order, generating contents lazily.
-// It stops at the first error and returns it.
+// Walk invokes fn for every file in spec order, on the caller's
+// goroutine, and stops at the first error fn returns.
+//
+// Contents are generated ahead of fn by min(GOMAXPROCS, maxGenerators)
+// goroutines into a ring of prefetchDepth slots per generator, so
+// generation overlaps fn and itself; every spec carries its own seed,
+// so the bytes and their order are those of a serial walk.  Every
+// generator has exited by the time Walk returns.
 func (fs *FS) Walk(fn func(path string, data []byte) error) error {
-	for _, s := range fs.Specs {
-		if err := fn(s.Path, s.Generate()); err != nil {
+	nw := min(runtime.GOMAXPROCS(0), maxGenerators, len(fs.Specs))
+	// File i travels in slot i mod len(ring).  A generator takes a credit
+	// before it claims an index and Walk returns one after taking a file,
+	// so at most len(ring) files are claimed but not taken: file i's slot
+	// is empty when the file is ready, and no slot send blocks.
+	ring := make([]chan []byte, prefetchDepth*nw)
+	credits := make(chan struct{}, len(ring))
+	for i := range ring {
+		ring[i] = make(chan []byte, 1)
+		credits <- struct{}{}
+	}
+	stop := make(chan struct{})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(nw)
+	for range nw {
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-credits:
+				case <-stop:
+					return
+				}
+				// select picks at random among ready cases, so a credit
+				// may win over a closed stop; check again before claiming
+				// a file nobody will read.
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := int(next.Add(1) - 1)
+				if i >= len(fs.Specs) {
+					return
+				}
+				ring[i%len(ring)] <- fs.Specs[i].Generate()
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(stop)
+	for i, s := range fs.Specs {
+		data := <-ring[i%len(ring)]
+		credits <- struct{}{}
+		if err := fn(s.Path, data); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// prefetchDepth is how many generated files per generator goroutine
+// FS.Walk may hold ahead of fn: enough for the other generators to keep
+// working while one makes a large or slow file (up to 192 KB, or an
+// LZW-compressed one), at about 2 MB in flight at GOMAXPROCS 2.
+const prefetchDepth = 4
+
+// maxGenerators caps FS.Walk's generator goroutines, and with them its
+// ring, whatever the core count: concurrent walks (one per stream of a
+// cksumd or netsim scenario) each hold at most prefetchDepth·maxGenerators
+// files (3 MB of 192 KB files) and start at most maxGenerators goroutines.
+const maxGenerators = 4
 
 // TotalBytes returns the summed size of all files.
 func (fs *FS) TotalBytes() int64 {

@@ -98,8 +98,11 @@ func (p PMF) PMin() float64 {
 }
 
 // SelfMatch returns Σp² — the probability two independent draws from p
-// are equal.  This is the "Predicted" column of Table 4 when p is the
-// k-cell convolution of the measured single-cell distribution.
+// are equal.  With p the k-fold convolution power of the measured
+// single-cell distribution this is the "Predicted" column of Tables 4
+// and 6; those tables take it for every k at once from
+// SelfMatchPowers, which is tested against SelfMatch of the Convolve
+// chain.
 func (p PMF) SelfMatch() float64 {
 	var s float64
 	for _, v := range p.P {

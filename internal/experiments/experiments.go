@@ -246,9 +246,8 @@ func Table4(cfg Config) []Table4Row {
 	if err != nil {
 		panic(err)
 	}
-	p1 := dist.FromHistogram(single)
+	predicted := dist.SelfMatchPowers(dist.FromHistogram(single), 5)
 	var rows []Table4Row
-	pk := p1
 	for k := 1; k <= 5; k++ {
 		h, err := sim.CollectBlockHistogram(cfg.ctx(), fs, k, cfg.collectOptions())
 		if err != nil {
@@ -257,12 +256,9 @@ func Table4(cfg Config) []Table4Row {
 		rows = append(rows, Table4Row{
 			K:         k,
 			Uniform:   1.0 / 65535,
-			Predicted: pk.SelfMatch(),
+			Predicted: predicted[k-1],
 			Measured:  h.CollisionProbability(),
 		})
-		if k < 5 {
-			pk = pk.Convolve(p1)
-		}
 	}
 	return rows
 }

@@ -50,8 +50,7 @@ func Table6(cfg Config) []Table6System {
 		if err != nil {
 			panic(err)
 		}
-		p1 := dist.FromHistogram(single)
-		pk := p1
+		predicted := dist.SelfMatchPowers(dist.FromHistogram(single), 4)
 
 		res, err := sim.Run(cfg.ctx(), cfg.build(p), p.Name, cfg.simOptions(sim.Options{}))
 		if err != nil {
@@ -76,15 +75,12 @@ func Table6(cfg Config) []Table6System {
 				actual = float64(res.MissedByLen[k]) / float64(res.RemainingByLen[k])
 			}
 			sys.K = append(sys.K, k)
-			sys.PredictedGlobal = append(sys.PredictedGlobal, pk.SelfMatch())
+			sys.PredictedGlobal = append(sys.PredictedGlobal, predicted[k-1])
 			sys.MeasuredGlobal = append(sys.MeasuredGlobal, h.CollisionProbability())
 			sys.LocalCongruent = append(sys.LocalCongruent, loc.CongruentP())
 			sys.ExcludeIdentical = append(sys.ExcludeIdentical, excl)
 			sys.Corrected = append(sys.Corrected, excl*factor)
 			sys.Actual = append(sys.Actual, actual)
-			if k < 4 {
-				pk = pk.Convolve(p1)
-			}
 		}
 		out = append(out, sys)
 	}

@@ -274,7 +274,11 @@ type worker struct {
 	// span at places[pi].  scorePlacement fills it wherever that span
 	// differs from the sent one, and judgeArrival reads it, so each sum
 	// is computed once.
-	recv      [][]uint64
+	recv [][]uint64
+	// intact[pi] says the current primary arrival's span at places[pi]
+	// equals the sent one: compared once by scorePlacement, and read
+	// again by judgeArrival.
+	intact    []bool
 	fragArena []byte
 	fragRefs  []fragRef
 	frags     [][]byte
@@ -321,6 +325,7 @@ func newWorker(cfg Config) *worker {
 	}
 	w.sent = make([][]uint64, len(w.places))
 	w.recv = make([][]uint64, len(w.places))
+	w.intact = make([]bool, len(w.places))
 	for pi := range w.places {
 		w.recv[pi] = make([]uint64, len(w.algos))
 	}
@@ -575,7 +580,7 @@ func (w *worker) score(ct *ChannelTally, origin int, cells []atm.Cell) {
 		ct.ErrClass.note(w.pdu, sent)
 	}
 	for pi := range w.places {
-		w.scorePlacement(&ct.Placements[pi], pi, origin)
+		w.scorePlacement(&ct.Placements[pi], pi, origin, corrupted)
 	}
 	if w.cfg.Retrans {
 		w.judgeArrival(ct, origin, w.pdu, 1, true)
@@ -584,9 +589,11 @@ func (w *worker) score(ct *ChannelTally, origin int, cells []atm.Cell) {
 }
 
 // scorePlacement scores the current candidate under places[pi]: its
-// received span against the claimed packet's sent span.  A miss is
-// counted when an algorithm's sum of the received span equals its sum
-// of the sent one even though the bytes differ.  A candidate whose
+// received span against the claimed packet's sent span.  The spans are
+// compared once, into intact[pi]; the e2e span is the whole PDU, which
+// score already compared (corrupted).  A miss is counted when an
+// algorithm's sum of the received span equals its sum of the sent one
+// even though the bytes differ.  A candidate whose
 // damage lies entirely in padding or trailer bytes is intact under
 // PlaceSegment while corrupted end-to-end — the placement-blindness the
 // contrast table quantifies.
@@ -596,11 +603,15 @@ func (w *worker) score(ct *ChannelTally, origin int, cells []atm.Cell) {
 // HeaderPos compares the stored field inside the received bytes,
 // TrailerPos the claimed origin's transmitted field value, both against
 // the sum recomputed over the received bytes.
-func (w *worker) scorePlacement(pt *PlacementTally, pi, origin int) {
+func (w *worker) scorePlacement(pt *PlacementTally, pi, origin int, corrupted bool) {
 	pl := w.places[pi]
 	got, sent := w.span(pl, origin, w.pdu)
+	w.intact[pi] = !corrupted
+	if pl != PlaceE2E {
+		w.intact[pi] = bytes.Equal(got, sent)
+	}
 	pt.Delivered++
-	if bytes.Equal(got, sent) {
+	if w.intact[pi] {
 		pt.Intact++
 		return
 	}
@@ -657,9 +668,10 @@ func diffBytes(recv, sent []byte) uint64 {
 // counters are not touched: retransmission only ever adds to the
 // Retrans/Oracle lanes.
 //
-// A primary arrival reads the sums scorePlacement left in recv, valid
-// wherever a placement's span differs from the sent one (the only case
-// a sum is read); a retry arrival computes its own.
+// A primary arrival reads the comparisons and sums scorePlacement left
+// in intact and recv, the sums valid wherever a placement's span
+// differs from the sent one (the only case a sum is read); a retry
+// arrival compares and sums for itself.
 func (w *worker) judgeArrival(ct *ChannelTally, p int, arrival []byte, tx uint64, primary bool) {
 	nAlgos := len(w.algos)
 	pduLen := uint64(w.pduOff[p+1] - w.pduOff[p])
@@ -667,7 +679,10 @@ func (w *worker) judgeArrival(ct *ChannelTally, p int, arrival []byte, tx uint64
 		pt := &ct.Placements[pi]
 		lb := p*w.laneStride + pi*(nAlgos+1)
 		got, sent := w.span(pl, p, arrival)
-		intact := bytes.Equal(got, sent)
+		intact := w.intact[pi]
+		if !primary {
+			intact = bytes.Equal(got, sent)
+		}
 		diff, diffDone := uint64(0), intact
 		sentSums := w.sent[pi][p*nAlgos:]
 		for a, alg := range w.algos {

@@ -920,35 +920,30 @@ func (t *Tally) dropChannels() []*ChannelTally {
 // header-vs-trailer position misses on the per-segment corruptions.
 // Rendered only when both placements were scored.
 func (t *Tally) placementContrastReport() string {
-	type pair struct{ c *ChannelTally }
-	var rows []pair
-	for i := range t.Channels {
-		c := &t.Channels[i]
-		if c.Placement(PlaceE2E.String()) != nil && c.Placement(PlaceSegment.String()) != nil {
-			rows = append(rows, pair{c})
-		}
-	}
-	if len(rows) == 0 {
-		return ""
-	}
 	tb := report.Table{
 		Title: fmt.Sprintf("netsim %s: end-to-end vs per-segment checksum placement", t.label()),
 		Headers: []string{"channel", "e2e corrupt", "e2e tcp", "e2e crc32",
 			"seg corrupt", "seg tcp", "seg f255", "seg crc32", "tcp@header", "tcp@trailer"},
 	}
-	for _, r := range rows {
-		e2e := r.c.Placement(PlaceE2E.String())
-		seg := r.c.Placement(PlaceSegment.String())
+	for i := range t.Channels {
+		c := &t.Channels[i]
+		e2e, seg := c.Placement(PlaceE2E.String()), c.Placement(PlaceSegment.String())
+		if e2e == nil || seg == nil {
+			continue
+		}
 		e2eTCP, _ := e2e.Algo("tcp")
 		e2eCRC, _ := e2e.Algo("crc32")
 		segTCP, _ := seg.Algo("tcp")
 		segF255, _ := seg.Algo("f255")
 		segCRC, _ := seg.Algo("crc32")
-		tb.AddRow(r.c.Name,
+		tb.AddRow(c.Name,
 			report.Count(e2e.Corrupted), report.Count(e2eTCP.Undetected), report.Count(e2eCRC.Undetected),
 			report.Count(seg.Corrupted), report.Count(segTCP.Undetected), report.Count(segF255.Undetected),
 			report.Count(segCRC.Undetected),
 			report.Count(seg.HeaderPos.Undetected), report.Count(seg.TrailerPos.Undetected))
+	}
+	if len(tb.Rows) == 0 {
+		return ""
 	}
 	return tb.Render() + "\n"
 }

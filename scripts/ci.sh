@@ -71,6 +71,23 @@ diff "$tmp/splicesim.w1" "$tmp/splicesim.w8" || { echo "splicesim -worst output 
 grep -q "worst files by checksum misses" "$tmp/splicesim.w1" \
     || { echo "splicesim report missing the worst-file list"; exit 1; }
 
+echo "== prefetching corpus walk and Parseval prediction (-race, GOMAXPROCS 1, 2, 4) =="
+# FS.Walk generates ahead of its callback on min(GOMAXPROCS, 4)
+# goroutines: it must yield serial Generate's paths and bytes in spec
+# order, and an early callback error must leave no generator running.
+# The Parseval SelfMatchPowers is held to the Convolve chain it
+# replaced, and the rendered distribution reports to their goldens.
+go test -race -count=1 -cpu 1,2,4 -run 'Walk|SelfMatchPowers|Distribution' ./internal/corpus/ ./internal/dist/ ./internal/experiments/
+
+echo "== distribution reports across GOMAXPROCS (1 vs 4) =="
+# The prefetch ring is sized by GOMAXPROCS, not -workers, so the
+# Figure 2-3 and Table 4-6 reports are diffed across GOMAXPROCS.
+dist_runs=figure2,figure3,table4,table5,table6
+GOMAXPROCS=1 go run ./cmd/paper -run "$dist_runs" -scale 0.05 > "$tmp/dist.p1"
+GOMAXPROCS=4 go run ./cmd/paper -run "$dist_runs" -scale 0.05 > "$tmp/dist.p4"
+diff "$tmp/dist.p1" "$tmp/dist.p4" || { echo "distribution reports differ across GOMAXPROCS"; exit 1; }
+grep -q "^Table 6:" "$tmp/dist.p1" || { echo "distribution report missing Table 6"; exit 1; }
+
 echo "== netsim smoke (workers 1 vs 4 determinism under -race, full battery incl. correlated loss + dup) =="
 go run -race ./cmd/paper -netsim -scale 0.02 -workers 1 > "$tmp/netsim.w1"
 go run -race ./cmd/paper -netsim -scale 0.02 -workers 4 > "$tmp/netsim.w4"
